@@ -227,24 +227,13 @@ func BenchmarkE7_BMI(b *testing.B) {
 }
 
 // BenchmarkE8_MIPS measures raw emulation speed across the engine axis:
-// the superblock trace engine, the threaded-code engine, the
-// interpreter-switch engine, and the switch engine with the
-// translation-block cache disabled (the retranslate-everything
-// baseline). One platform is built per sub-benchmark and rewound
-// between iterations with the watermark-based RestoreReuse, so the
-// timed loop holds emulation only — not assembly or RAM allocation.
+// the compiled superblock engine and the interpreter-switch engine. One
+// platform is built per sub-benchmark and rewound between iterations
+// with the watermark-based RestoreReuse, so the timed loop holds
+// emulation only — not assembly or RAM allocation.
 func BenchmarkE8_MIPS(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		engine  emu.Engine
-		disable bool
-	}{
-		{"superblock", emu.EngineSuperblock, false},
-		{"threaded", emu.EngineThreaded, false},
-		{"switch", emu.EngineSwitch, false},
-		{"no-tb-cache", emu.EngineSwitch, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, engine := range emu.Engines() {
+		b.Run(engine.String(), func(b *testing.B) {
 			for _, name := range benchWorkloads {
 				w := getWorkload(b, name)
 				b.Run(name, func(b *testing.B) {
@@ -256,8 +245,7 @@ func BenchmarkE8_MIPS(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					p.Machine.Engine = mode.engine
-					p.Machine.DisableTBCache = mode.disable
+					p.Machine.Engine = engine
 					if err := p.LoadProgram(prog); err != nil {
 						b.Fatal(err)
 					}
@@ -352,8 +340,8 @@ func BenchmarkE10_PoolCampaign(b *testing.B) {
 		name   string
 		engine emu.Engine
 	}{
-		{"threaded", emu.EngineThreaded},
 		{"superblock", emu.EngineSuperblock},
+		{"switch", emu.EngineSwitch},
 	} {
 		etg := *tg
 		etg.Engine = eng.engine

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	s4e-bench [-o BENCH_emu.json] [-reps 3] [-workloads xtea,crc32]
+//	          [-engines superblock,switch] [-cpuprofile FILE]
 //
 // Exit status: 0 on success, 1 on runtime failure, 2 on usage error.
 package main
@@ -32,41 +33,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// engineMode is one point on the engine axis.
-type engineMode struct {
-	name    string
-	engine  emu.Engine
-	disable bool
-}
-
-var allModes = []engineMode{
-	{"threaded", emu.EngineThreaded, false},
-	{"switch", emu.EngineSwitch, false},
-	{"superblock", emu.EngineSuperblock, false},
-	{"no-tb-cache", emu.EngineSwitch, true},
-}
-
-// selectModes resolves the -engines flag: a comma-separated subset of
-// the mode names above, in the requested order.
-func selectModes(spec string) ([]engineMode, error) {
-	var out []engineMode
+// selectEngines resolves the -engines flag: a comma-separated subset of
+// the names emu.ParseEngine accepts, in the requested order.
+func selectEngines(spec string) ([]emu.Engine, error) {
+	var out []emu.Engine
 	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, m := range allModes {
-			if m.name == name {
-				out = append(out, m)
-				found = true
-				break
-			}
+		e, err := emu.ParseEngine(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			var known []string
-			for _, m := range allModes {
-				known = append(known, m.name)
-			}
-			return nil, fmt.Errorf("unknown engine mode %q (%s)", name, strings.Join(known, ", "))
-		}
+		out = append(out, e)
 	}
 	return out, nil
 }
@@ -82,7 +58,7 @@ type engineStats struct {
 	ChainFollows     uint64  `json:"chain_follows"`
 	ChainsSevered    uint64  `json:"chains_severed"`
 	InstsRetired     uint64  `json:"insts_retired"`
-	// Superblock trace counters (zero for non-trace engines, omitted).
+	// Superblock trace counters (zero on the switch engine, omitted).
 	TracesFormed      uint64  `json:"traces_formed,omitempty"`
 	AvgTraceBlocks    float64 `json:"avg_trace_blocks,omitempty"`
 	TraceRuns         uint64  `json:"trace_runs,omitempty"`
@@ -172,7 +148,7 @@ type Result struct {
 	Reps       int                  `json:"reps"`
 	Workloads  []string             `json:"workloads"`
 	MIPS       map[string][]float64 `json:"mips"` // engine -> per-workload MIPS
-	// EngineStats mirrors MIPS: engine mode -> per-workload counters.
+	// EngineStats mirrors MIPS: engine -> per-workload counters.
 	EngineStats map[string][]engineStats `json:"engine_stats"`
 	// Campaign is the fault-campaign pool axis ("pool-on"/"pool-off").
 	Campaign map[string]campaignStats `json:"campaign,omitempty"`
@@ -192,9 +168,9 @@ type Result struct {
 }
 
 // measure times reps steady-state runs of one workload under an engine
-// mode (platform built once, rewound between runs) and returns the best
+// (platform built once, rewound between runs) and returns the best
 // observed MIPS plus the platform for stats inspection.
-func measure(w workloads.Workload, m engineMode, reps int) (float64, *vp.Platform, error) {
+func measure(w workloads.Workload, engine emu.Engine, reps int) (float64, *vp.Platform, error) {
 	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
 	if err != nil {
 		return 0, nil, err
@@ -203,8 +179,7 @@ func measure(w workloads.Workload, m engineMode, reps int) (float64, *vp.Platfor
 	if err != nil {
 		return 0, nil, err
 	}
-	p.Machine.Engine = m.engine
-	p.Machine.DisableTBCache = m.disable
+	p.Machine.Engine = engine
 	if err := p.LoadProgram(prog); err != nil {
 		return 0, nil, err
 	}
@@ -228,12 +203,12 @@ func measure(w workloads.Workload, m engineMode, reps int) (float64, *vp.Platfor
 // measureCampaign runs one fault campaign over the workload and returns
 // the campaign point for the pool axis. reps campaigns are run and the
 // best throughput kept; engine counters are from the best run.
-func measureCampaign(w workloads.Workload, engine emu.Engine, workers, mutants, reps int, noPool bool) (campaignStats, error) {
+func measureCampaign(w workloads.Workload, workers, mutants, reps int, noPool bool) (campaignStats, error) {
 	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
 	if err != nil {
 		return campaignStats{}, err
 	}
-	tg := &fault.Target{Program: prog, Budget: w.Budget, Sensor: w.Sensor, Engine: engine}
+	tg := &fault.Target{Program: prog, Budget: w.Budget, Sensor: w.Sensor}
 	g, err := fault.RunGolden(tg)
 	if err != nil {
 		return campaignStats{}, err
@@ -431,8 +406,8 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per measurement (best is kept)")
 	names := flag.String("workloads", "xtea,crc32,fir,matmul,sort,pid",
 		"comma-separated workload subset")
-	engines := flag.String("engines", "threaded,switch,superblock,no-tb-cache",
-		"comma-separated engine-mode subset for the MIPS axis")
+	engines := flag.String("engines", emu.EngineList(),
+		"comma-separated engine subset for the MIPS axis")
 	campWorkload := flag.String("campaign-workload", "pid",
 		"workload for the fault-campaign pool axis (empty: skip the campaign axis)")
 	campMutants := flag.Int("campaign-mutants", 400, "mutants per campaign measurement")
@@ -451,6 +426,7 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write accumulated engine/bus metrics to `file` (.json for JSON, - for stdout, else Prometheus text)")
 	tracePath := flag.String("trace", "", "write per-measurement trace events (JSONL) to `file`")
 	progress := flag.Bool("progress", false, "print a progress line per measurement to stderr")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of all measurements (runtime/pprof) to `file`")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: s4e-bench [flags]")
@@ -467,10 +443,14 @@ func main() {
 		}
 		selected = append(selected, w)
 	}
-	modes, err := selectModes(*engines)
+	engineAxis, err := selectEngines(*engines)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s4e-bench:", err)
 		os.Exit(2)
+	}
+	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fatal(err)
 	}
 
 	var reg *obs.Registry
@@ -502,24 +482,25 @@ func main() {
 
 	axisStart := time.Now()
 	fmt.Printf("%-14s", "program")
-	for _, m := range modes {
-		fmt.Printf(" %12s", m.name)
+	for _, e := range engineAxis {
+		fmt.Printf(" %12s", e)
 	}
 	fmt.Println()
 	for i, w := range selected {
 		fmt.Printf("%-14s", w.Name)
-		for _, m := range modes {
+		for _, e := range engineAxis {
+			name := e.String()
 			if *progress {
-				fmt.Fprintf(os.Stderr, "s4e-bench: measuring %s/%s (%d reps)\n", w.Name, m.name, *reps)
+				fmt.Fprintf(os.Stderr, "s4e-bench: measuring %s/%s (%d reps)\n", w.Name, name, *reps)
 			}
-			best, p, err := measure(w, m, *reps)
+			best, p, err := measure(w, e, *reps)
 			if err != nil {
 				fatal(err)
 			}
 			es := p.Machine.Stats()
 			rst := p.RestoreStats()
-			res.MIPS[m.name] = append(res.MIPS[m.name], best)
-			res.EngineStats[m.name] = append(res.EngineStats[m.name], engineStats{
+			res.MIPS[name] = append(res.MIPS[name], best)
+			res.EngineStats[name] = append(res.EngineStats[name], engineStats{
 				TBsCompiled:       es.TBsCompiled,
 				TBsInvalidated:    es.TBsInvalidated,
 				JumpCacheHits:     es.JumpCacheHits,
@@ -539,21 +520,18 @@ func main() {
 				RestorePages:      rst.RestorePages,
 			})
 			p.RecordStats(reg)
-			tr.Emit("measurement", "workload", w.Name, "mode", m.name, "mips", best,
+			tr.Emit("measurement", "workload", w.Name, "mode", name, "mips", best,
 				"jump_cache_hit_rate", es.JumpCacheHitRate())
 			fmt.Printf(" %12.1f", best)
 		}
 		// Geometric means need every workload; print the row ratio now.
-		if t, s := res.MIPS["threaded"], res.MIPS["switch"]; len(t) > i && len(s) > i {
-			fmt.Printf("   %.2fx", t[i]/s[i])
+		if c, s := res.MIPS["superblock"], res.MIPS["switch"]; len(c) > i && len(s) > i {
+			fmt.Printf("   %.2fx", c[i]/s[i])
 		}
 		fmt.Println()
 	}
-	for _, pair := range [][2]string{{"threaded", "switch"}, {"superblock", "threaded"}} {
-		a, b := res.MIPS[pair[0]], res.MIPS[pair[1]]
-		if len(a) == len(selected) && len(b) == len(selected) {
-			fmt.Printf("geomean %s/%s: %.2fx\n", pair[0], pair[1], geomeanRatio(a, b))
-		}
+	if a, b := res.MIPS["superblock"], res.MIPS["switch"]; len(a) == len(selected) && len(b) == len(selected) {
+		fmt.Printf("geomean superblock/switch: %.2fx\n", geomeanRatio(a, b))
 	}
 	res.AxisSeconds["mips"] = time.Since(axisStart).Seconds()
 
@@ -566,23 +544,18 @@ func main() {
 			os.Exit(2)
 		}
 		res.Campaign = map[string]campaignStats{}
-		// Threaded keys keep their historical names ("pool-on"/"pool-off");
-		// the superblock engine adds a prefixed pair to the same axis.
 		for _, mode := range []struct {
 			name   string
-			engine emu.Engine
 			noPool bool
 		}{
-			{"pool-on", emu.EngineThreaded, false},
-			{"pool-off", emu.EngineThreaded, true},
-			{"superblock-pool-on", emu.EngineSuperblock, false},
-			{"superblock-pool-off", emu.EngineSuperblock, true},
+			{"pool-on", false},
+			{"pool-off", true},
 		} {
 			if *progress {
 				fmt.Fprintf(os.Stderr, "s4e-bench: campaign %s/%s (%d mutants, %d workers, %d reps)\n",
 					w.Name, mode.name, *campMutants, *campWorkers, *reps)
 			}
-			cs, err := measureCampaign(w, mode.engine, *campWorkers, *campMutants, *reps, mode.noPool)
+			cs, err := measureCampaign(w, *campWorkers, *campMutants, *reps, mode.noPool)
 			if err != nil {
 				fatal(err)
 			}
@@ -735,6 +708,9 @@ func main() {
 		}
 	}
 	res.AxisSeconds["irq"] = time.Since(axisStart).Seconds()
+	if err := stopProfile(); err != nil {
+		fatal(err)
+	}
 
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	s4e-fault [-gpr 200] [-mem 100] [-code 100] [-workers N] [-seed S]
-//	          [-engine threaded] [-pool=true] prog.s
+//	          [-engine superblock|switch] [-pool=true] [-cpuprofile FILE] prog.s
 //	s4e-fault -workload pid_timer -isr handler -latency 3000 [flags]
 //
 // The second form campaigns against a built-in workload (the interrupt
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/asm"
@@ -42,8 +41,8 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel workers")
 	seed := flag.Int64("seed", 1, "fault plan seed")
 	budget := flag.Uint64("budget", 10_000_000, "instruction budget per mutant")
-	engName := flag.String("engine", "threaded",
-		"execution engine: "+strings.Join(emu.EngineNames(), ", "))
+	engName := flag.String("engine", emu.Engines()[0].String(),
+		"execution engine: "+emu.EngineList())
 	pool := flag.Bool("pool", true,
 		"share the golden run's compiled translation pool across workers (false: each worker cold-compiles privately)")
 	guided := flag.Bool("guided", false,
@@ -51,6 +50,7 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write campaign and engine metrics to `file` after the run (.json for JSON, - for stdout, else Prometheus text)")
 	tracePath := flag.String("trace", "", "write per-mutant trace events (JSONL) to `file`")
 	progress := flag.Bool("progress", false, "print a live campaign progress line to stderr")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign (runtime/pprof) to `file`")
 	workloadName := flag.String("workload", "",
 		"campaign against a built-in workload instead of a source file (the interrupt demonstrators pid_timer, dma_stream, uart_cmd bring their own stimuli and budget)")
 	isr := flag.String("isr", "",
@@ -186,7 +186,14 @@ func main() {
 		opts.Progress = os.Stderr
 	}
 
+	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
 	res, err := fault.CampaignOpt(tg, plan, opts)
+	if perr := stopProfile(); perr != nil {
+		fatal(perr)
+	}
 	if res == nil {
 		fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 	samples := flag.Int("samples", 32, "adversarial trigger points per workload (-irq)")
 	seed := flag.Uint64("seed", 1, "trigger-jitter seed (-irq)")
 	engName := flag.String("engine", "superblock",
-		"execution engine for -irq: "+strings.Join(emu.EngineNames(), ", "))
+		"execution engine for -irq: "+emu.EngineList())
 	flag.Parse()
 	prof, ok := timing.Profiles()[*profName]
 	if !ok {

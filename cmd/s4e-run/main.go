@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	s4e-run [-profile edge-small] [-isa rv32imfc] [-engine threaded] [-itrace] [-budget N] prog.{s,elf}
+//	s4e-run [-profile edge-small] [-isa rv32imfc] [-engine superblock|switch] [-itrace] [-budget N]
+//	        [-cpuprofile FILE] prog.{s,elf}
 //
 // Exit status: the guest's exit code (nonzero codes are clamped to stay
 // nonzero after the 7-bit mask), 1 on runtime failure, 2 on usage error.
@@ -48,14 +49,15 @@ func parseISA(s string) (isa.ExtSet, error) {
 func main() {
 	profName := flag.String("profile", "unit", "timing profile: unit, edge-small, edge-fast")
 	isaName := flag.String("isa", "full", "ISA configuration: rv32i(m)(f)(b)(c), full")
-	engName := flag.String("engine", "threaded",
-		"execution engine: "+strings.Join(emu.EngineNames(), ", "))
+	engName := flag.String("engine", emu.Engines()[0].String(),
+		"execution engine: "+emu.EngineList())
 	itrace := flag.Bool("itrace", false, "print an instruction trace to stderr")
 	budget := flag.Uint64("budget", 100_000_000, "instruction budget")
 	stats := flag.Bool("stats", true, "print run statistics")
 	metricsPath := flag.String("metrics", "", "write engine/bus metrics to `file` after the run (.json for JSON, - for stdout, else Prometheus text)")
 	tracePath := flag.String("trace", "", "write structured trace events (JSONL) to `file`")
 	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof) to `file`")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: s4e-run [flags] prog.{s,elf}")
@@ -111,8 +113,15 @@ func main() {
 		}
 	}
 
+	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
 	tr.Emit("run-start", "prog", in, "budget", *budget, "engine", *engName, "profile", *profName)
 	stop := run(p, *budget, *progress)
+	if err := stopProfile(); err != nil {
+		fatal(err)
+	}
 	h := &p.Machine.Hart
 	tr.Emit("run-end", "reason", stop.Reason.String(), "code", stop.Code,
 		"insts", h.Instret, "cycles", h.Cycle)

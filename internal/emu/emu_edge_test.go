@@ -209,33 +209,6 @@ buf:	.word 1
 	}
 }
 
-func TestDisableTBCacheSameResults(t *testing.T) {
-	src := vp.Prelude + `
-		li a0, 50
-		li a1, 0
-1:		add a1, a1, a0
-		addi a0, a0, -1
-		bnez a0, 1b
-		ebreak
-	`
-	runWith := func(disable bool) (uint32, uint64) {
-		p, _ := vp.New(vp.Config{Profile: timing.EdgeSmall()})
-		p.Machine.DisableTBCache = disable
-		if _, err := p.LoadSource(src); err != nil {
-			t.Fatal(err)
-		}
-		if stop := p.Run(10000); stop.Reason != emu.StopEbreak {
-			t.Fatalf("stop: %v", stop)
-		}
-		return p.Machine.Hart.Reg(isa.A1), p.Machine.Hart.Cycle
-	}
-	a1, c1 := runWith(false)
-	a2, c2 := runWith(true)
-	if a1 != a2 || c1 != c2 {
-		t.Errorf("TB-cache ablation changed results: %d/%d vs %d/%d", a1, c1, a2, c2)
-	}
-}
-
 func TestMIPSoftwareBitWithoutCLINT(t *testing.T) {
 	// Without a CLINT the software-interrupt pending bit is directly
 	// CSR-writable (useful for self-raised interrupts in tests).

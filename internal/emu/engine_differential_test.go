@@ -2,6 +2,8 @@ package emu_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/emu"
@@ -11,17 +13,17 @@ import (
 	"repro/internal/workloads"
 )
 
-// This file is the safety net for the compiled engines: every workload
+// This file is the safety net for the compiled engine: every workload
 // and a batch of seeded torture programs run under Step(), the switch
-// engine, the threaded engine and the superblock trace engine, and the
-// full architectural state — stop info, Instret, Cycle, both register
-// files, trap CSRs and a RAM digest — must be bit-identical across all
-// four paths.
+// interpreter and the compiled superblock engine, under the nil profile
+// and every built-in timing profile, and the full architectural state —
+// stop info, Instret, Cycle, both register files, trap CSRs and a RAM
+// digest — must be bit-identical across all three paths.
 //
-// Step() is compared under the unit profile only: single-stepping
-// legitimately differs in Cycle under profiles with a load-use interlock
-// (the engines reset hazard state at block boundaries, Step never sees
-// one) — that is a documented property, not a bug.
+// Step() is compared only under profiles without a load-use interlock:
+// single-stepping legitimately differs in Cycle where one exists (the
+// engines reset hazard state at block boundaries, Step never sees one)
+// — that is a documented property, not a bug.
 
 // archState is the full observable machine state at end of run.
 type archState struct {
@@ -162,6 +164,36 @@ handler:
 		budget: 80_000,
 		noStep: true,
 	})
+	// Trap-heavy: every iteration of a hot loop raises two synchronous
+	// exceptions (ecall, and a load fault in the middle of a block) that
+	// the handler skips, and the budget runs out mid-loop. A faulting
+	// instruction is attempted but not retired, and the budget counts
+	// attempts, so any engine that charged retirements instead would stop
+	// at a different point.
+	cases = append(cases, diffCase{
+		name: "trap-loop",
+		src: `
+		la t0, handler
+		csrw mtvec, t0
+		li s0, 0
+		li s1, 0
+		li s2, 0
+loop:
+		addi s0, s0, 1
+		ecall
+		xor s1, s1, s0
+		lw t1, 1(zero)      # misaligned and unmapped: faults
+		add s1, s1, t1
+		j loop
+handler:
+		csrr t2, mepc
+		addi t2, t2, 4
+		csrw mepc, t2
+		addi s2, s2, 1
+		mret
+		`,
+		budget: 20_011,
+	})
 	// Self-modifying: a loop hot enough to be fused into a trace patches
 	// one of its own instructions halfway through, so the store must
 	// sever the trace and later iterations re-execute (and re-fuse) the
@@ -275,26 +307,45 @@ func diffStates(t *testing.T, what string, want, got archState) {
 	}
 }
 
-// TestEngineDifferential proves bit-identical architectural state across
-// the three execution paths for every workload and torture seed.
-func TestEngineDifferential(t *testing.T) {
-	profiles := []struct {
-		name string
-		p    *timing.Profile
-	}{
-		{"unit", nil},
-		{"edge-small", timing.EdgeSmall()},
-		{"edge-cache", timing.EdgeCache()},
+// diffProfile is one point of the differential's timing-profile axis.
+type diffProfile struct {
+	name string
+	p    *timing.Profile
+}
+
+// diffProfiles is the nil profile (named "unit" after its cycle model)
+// plus every built-in profile, the built-in unit profile named
+// "unit-profile" to tell the two apart: tools and platforms always pass
+// a non-nil profile, so both forms need coverage.
+func diffProfiles() []diffProfile {
+	out := []diffProfile{{"unit", nil}}
+	builtin := timing.Profiles()
+	names := make([]string, 0, len(builtin))
+	for name := range builtin {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	for _, name := range names {
+		label := name
+		if name == "unit" {
+			label = "unit-profile"
+		}
+		out = append(out, diffProfile{label, builtin[name]})
+	}
+	return out
+}
+
+// TestEngineDifferential proves bit-identical architectural state across
+// the execution paths for every workload and torture seed under every
+// timing profile.
+func TestEngineDifferential(t *testing.T) {
 	for _, c := range diffCases(t) {
-		for _, prof := range profiles {
+		for _, prof := range diffProfiles() {
 			t.Run(c.name+"/"+prof.name, func(t *testing.T) {
 				ref := runEngine(t, c, prof.p, emu.EngineSwitch)
-				threaded := runEngine(t, c, prof.p, emu.EngineThreaded)
-				diffStates(t, "threaded vs switch", ref, threaded)
 				superblock := runEngine(t, c, prof.p, emu.EngineSuperblock)
 				diffStates(t, "superblock vs switch", ref, superblock)
-				if prof.p == nil && !c.noStep {
+				if (prof.p == nil || prof.p.LoadUseStall == 0) && !c.noStep {
 					step := runStep(t, c, prof.p)
 					diffStates(t, "step vs switch", ref, step)
 				}
@@ -303,29 +354,51 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
+// runSliced runs a program in budget slices of the given size, resuming
+// after every budget stop, and returns the final state.
+func runSliced(t *testing.T, c diffCase, prof *timing.Profile, engine emu.Engine, slice uint64) archState {
+	t.Helper()
+	p := newDiffPlatform(t, c, prof)
+	p.Machine.Engine = engine
+	var stop emu.StopInfo
+	var used uint64
+	for used < c.budget {
+		n := min(slice, c.budget-used)
+		stop = p.Run(n)
+		used += n
+		if stop.Reason != emu.StopBudget {
+			break
+		}
+	}
+	return captureState(p, stop)
+}
+
 // TestEngineDifferentialTightBudget exercises the budget-stop and resume
-// paths of both engines: run each program in small budget slices and
-// require the same final state as one uninterrupted run.
+// paths: each program runs in small budget slices, and the compiled
+// engine must match the switch interpreter sliced the same way under
+// every profile. Compiled code only runs while the remaining budget
+// outlasts the whole block or trace; a block the budget ends inside runs
+// through the interpreter loop, so the slices cover both paths and the
+// hand-over between them. (A slice of 1 would add nothing: no block
+// fits, so every block would take the interpreter path.) Under
+// the nil profile a block-unaligned slicing must also reproduce one
+// uninterrupted run. (Under other profiles resuming mid-block drops the
+// load-use hazard state, and resuming polls interrupts mid-block, so
+// there sliced runs are compared with each other only.)
 func TestEngineDifferentialTightBudget(t *testing.T) {
 	for _, c := range diffCases(t) {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ref := runEngine(t, c, nil, emu.EngineSwitch)
-			for _, engine := range []emu.Engine{emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock} {
-				p := newDiffPlatform(t, c, nil)
-				p.Machine.Engine = engine
-				var stop emu.StopInfo
-				var used uint64
-				const slice = 173 // deliberately not block-aligned
-				for used < c.budget {
-					n := min(slice, c.budget-used)
-					stop = p.Run(n)
-					used += n
-					if stop.Reason != emu.StopBudget {
-						break
-					}
+			for _, prof := range diffProfiles() {
+				for _, slice := range []uint64{3, 7, 65} {
+					ref := runSliced(t, c, prof.p, emu.EngineSwitch, slice)
+					got := runSliced(t, c, prof.p, emu.EngineSuperblock, slice)
+					diffStates(t, fmt.Sprintf("%s slice %d", prof.name, slice), ref, got)
 				}
-				got := captureState(p, stop)
+			}
+			ref := runEngine(t, c, nil, emu.EngineSwitch)
+			for _, engine := range []emu.Engine{emu.EngineSwitch, emu.EngineSuperblock} {
+				const slice = 173 // deliberately not block-aligned
+				got := runSliced(t, c, nil, engine, slice)
 				diffStates(t, fmt.Sprintf("%v sliced", engine), ref, got)
 			}
 		})
@@ -334,7 +407,7 @@ func TestEngineDifferentialTightBudget(t *testing.T) {
 
 // TestInterruptDeliveryPooled proves a shared translation pool does not
 // perturb interrupt delivery: each demonstrator runs bit-identically
-// with the translated engines warm-starting from a pool built by a
+// with both engines warm-starting from a pool built by a
 // fault-campaign-style golden run.
 func TestInterruptDeliveryPooled(t *testing.T) {
 	for _, w := range workloads.Interrupt() {
@@ -347,7 +420,7 @@ func TestInterruptDeliveryPooled(t *testing.T) {
 			uartIn: w.UARTIn,
 		}
 		t.Run(w.Name, func(t *testing.T) {
-			for _, engine := range []emu.Engine{emu.EngineThreaded, emu.EngineSuperblock} {
+			for _, engine := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
 				plain := runEngine(t, c, nil, engine)
 
 				gp := newDiffPlatform(t, c, nil)
@@ -364,5 +437,33 @@ func TestInterruptDeliveryPooled(t *testing.T) {
 				diffStates(t, fmt.Sprintf("%v pooled", engine), plain, pooled)
 			}
 		})
+	}
+}
+
+// Every accepted spelling parses; the retired "threaded" and the empty
+// string select the default engine; every engine parses back from its
+// own name; an unknown name is an error naming the engines.
+func TestParseEngine(t *testing.T) {
+	for _, name := range emu.EngineNames() {
+		if _, err := emu.ParseEngine(name); err != nil {
+			t.Errorf("ParseEngine(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "threaded"} {
+		if e, _ := emu.ParseEngine(name); e != emu.Engines()[0] {
+			t.Errorf("ParseEngine(%q) = %s, want the default %s", name, e, emu.Engines()[0])
+		}
+	}
+	if emu.Engines()[0] != emu.Engine(0) {
+		t.Errorf("first engine %s is not the zero Engine", emu.Engines()[0])
+	}
+	for _, e := range emu.Engines() {
+		if got, err := emu.ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %s, %v", e.String(), got, err)
+		}
+	}
+	_, err := emu.ParseEngine("jit")
+	if err == nil || !strings.Contains(err.Error(), emu.EngineList()) {
+		t.Errorf("ParseEngine(jit) error %v, want one naming %s", err, emu.EngineList())
 	}
 }

@@ -34,7 +34,7 @@ _start:
 handler:
 	.word 0xffffffff          # handler entry is an illegal instruction
 `
-	for _, eng := range []emu.Engine{emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock} {
+	for _, eng := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
 		p, err := vp.New(vp.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ out:
 `
 	const trigger = 30_000 // mid-loop, well after trace formation
 	var ref *trapCycles
-	for _, eng := range []emu.Engine{emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock} {
+	for _, eng := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
 		p, err := vp.New(vp.Config{})
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ package emu
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/decode"
@@ -38,52 +39,61 @@ const (
 type Engine uint8
 
 const (
-	// EngineThreaded (the default) compiles each translated block into a
-	// chain of specialized executor closures with pre-bound operands and
-	// precomputed static cycle costs, and follows block-chaining links
-	// between hot blocks.
-	EngineThreaded Engine = iota
+	// EngineSuperblock (the default) compiles every translated block to
+	// micro-ops executed by one inline dispatch loop, follows
+	// block-chaining links between hot blocks, and fuses hot multi-block
+	// paths into superblock traces with guard ops at the former block
+	// boundaries. Instructions without a micro-op run through the
+	// interpreter's execOne, so semantics are defined once.
+	EngineSuperblock Engine = iota
 	// EngineSwitch re-dispatches the decoded instructions through the
-	// interpreter switch on every execution — the pre-threading baseline,
-	// kept for the ablation and as a differential-testing oracle.
+	// interpreter switch on every execution: the reference the compiled
+	// engine is differentially tested against, and the baseline of the
+	// engine ablation.
 	EngineSwitch
-	// EngineSuperblock is the threaded engine plus runtime trace fusion:
-	// hot multi-block paths are flattened into single superblock
-	// executors with deferred accounting and guard ops at the former
-	// block boundaries (side-exiting to the threaded path on mispredict
-	// or interrupt). Architecturally identical to the other engines.
-	EngineSuperblock
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineSwitch:
+	if e == EngineSwitch {
 		return "switch"
-	case EngineSuperblock:
-		return "superblock"
 	}
-	return "threaded"
+	return "superblock"
 }
 
-// EngineNames lists the accepted engine spellings, in the order tools
-// document them. This is the single source of truth for engine-name
+// Engines lists the engines, default first.
+func Engines() []Engine { return []Engine{EngineSuperblock, EngineSwitch} }
+
+// EngineList is the engines' names, default first, for usage strings
+// and error messages.
+func EngineList() string {
+	var names []string
+	for _, e := range Engines() {
+		names = append(names, e.String())
+	}
+	return strings.Join(names, ", ")
+}
+
+// EngineNames lists every spelling ParseEngine accepts, in the order the
+// benchmark (perfbench) declares its emu.mips.engine.<name> metrics.
+// Besides the engines' own names it keeps "threaded", the name of the
+// retired closure-compiled engine, as an alias of the default engine, so
+// scripts, journaled service jobs and declared metric names that carry
+// it keep working. This is the single source of truth for engine-name
 // validation: the CLIs and the job service all parse through
-// ParseEngine, so adding an engine here is the whole change.
+// ParseEngine.
 func EngineNames() []string { return []string{"threaded", "switch", "superblock"} }
 
 // ParseEngine maps an engine name to its Engine value. The empty string
-// selects the default (threaded) engine; an unknown name is an error
-// naming the accepted spellings.
+// and the retired "threaded" select the default (superblock) engine; an
+// unknown name is an error naming the engines.
 func ParseEngine(name string) (Engine, error) {
 	switch name {
-	case "", "threaded":
-		return EngineThreaded, nil
+	case "", "superblock", "threaded":
+		return EngineSuperblock, nil
 	case "switch":
 		return EngineSwitch, nil
-	case "superblock":
-		return EngineSuperblock, nil
 	}
-	return EngineThreaded, fmt.Errorf("unknown engine %q (threaded, switch, superblock)", name)
+	return EngineSuperblock, fmt.Errorf("unknown engine %q (%s)", name, EngineList())
 }
 
 // StopReason says why Run returned.
@@ -135,8 +145,8 @@ func (s StopInfo) String() string {
 }
 
 // tbCode is the immutable, machine-independent part of a translated
-// block: the decoded metadata plus the threaded-code executor slice.
-// Executors take the Machine as an argument, so compiled code carries no
+// block: the decoded metadata plus the compiled micro-op form. Micro-ops
+// take the Machine as an argument, so compiled code carries no
 // per-machine state and one tbCode can back any number of machines —
 // this is the unit of sharing in a TBPool. After a tbCode has been
 // published to a pool it is strictly read-only; private blocks may still
@@ -146,17 +156,17 @@ type tbCode struct {
 	end  uint32 // exclusive upper address
 
 	// prof, ext and sub record the timing profile, ISA configuration and
-	// subset allowlist the block (and its compiled executors) were
+	// subset allowlist the block (and its compiled micro-ops) were
 	// specialized against; a cached block is stale when any differs from
 	// the machine's.
 	prof *timing.Profile
 	ext  isa.ExtSet
 	sub  isa.OpSet
 
-	// ops is the threaded-code form: one specialized executor per
-	// instruction, compiled lazily on first threaded execution (eagerly
-	// when the block is frozen into a TBPool).
-	ops []opFn
+	// ops is the compiled form, the block as a length-1 trace; compiled
+	// lazily on first compiled execution (eagerly when the block is
+	// frozen into a TBPool).
+	ops []sbOp
 }
 
 // tb is one translated block as seen by one machine: the shared compiled
@@ -171,7 +181,7 @@ type tb struct {
 	// other's chains.
 	succ [2]*tb
 
-	// hot counts superblock-engine dispatches of this block; reaching
+	// hot counts compiled-engine dispatches of this block; reaching
 	// traceHotThreshold starts trace recording at this block. Strictly
 	// per-machine, like the chain links.
 	hot uint32
@@ -183,7 +193,7 @@ type tb struct {
 
 	// noTrace bans this block from trace profiling: its trace side-exited
 	// far more often than it completed, so tracing it costs more than
-	// plain threaded execution.
+	// block-at-a-time execution.
 	noTrace bool
 
 	// trRuns/trExits count completed and side-exited executions of this
@@ -206,7 +216,7 @@ type Machine struct {
 	// Ext, when non-nil, drives the machine-external interrupt (MEIP)
 	// from a platform interrupt controller: it is ticked with the cycle
 	// counter at every interrupt poll point and its pending state is
-	// mirrored into mip. All four engines share the poll points, so
+	// mirrored into mip. Both engines share the poll points, so
 	// external-interrupt delivery is engine-independent by construction.
 	Ext ExtIRQ
 
@@ -229,10 +239,6 @@ type Machine struct {
 	subset   isa.OpSet
 	subsetOn bool
 
-	// DisableTBCache forces re-translation of every block (the
-	// interpreter-style baseline for the translation-cache ablation).
-	DisableTBCache bool
-
 	// DisableDirtyPages turns off the dirty-page bitmap, leaving only
 	// the byte-precise store watermark — the pre-bitmap baseline kept
 	// for the restore-cost ablation (bench E12) and differential tests.
@@ -242,7 +248,7 @@ type Machine struct {
 	DisableDirtyPages bool
 
 	// Engine selects the execution strategy; the zero value is the
-	// threaded-code engine.
+	// compiled superblock engine.
 	Engine Engine
 
 	stop     *StopInfo
@@ -260,6 +266,11 @@ type Machine struct {
 	// the guard fires identically on every engine.
 	excSeen    bool
 	excInstret uint64
+
+	// excTaken counts synchronous exceptions taken. An instruction that
+	// raises one is attempted but not retired, and the budget counts
+	// attempted instructions (see attempted).
+	excTaken uint64
 
 	// pool is the attached shared translation pool (nil if none) and
 	// poolGen the pool generation observed at attach time; a lookup only
@@ -279,7 +290,7 @@ type Machine struct {
 
 	// traces maps entry pc to the superblock traces this machine may
 	// dispatch (privately formed or adopted from the pool's frozen tier).
-	// Lazily allocated; only the superblock engine populates it.
+	// Lazily allocated; only the compiled engine populates it.
 	traces map[uint32]*traceCode
 
 	// rec/recActive are the trace recorder: while recActive, each
@@ -298,7 +309,7 @@ type Machine struct {
 	// campaign uses it to detect runs that dirtied the code region.
 	codeWrites uint64
 
-	// ram/ramBase cache the bus's largest RAM region for the threaded
+	// ram/ramBase cache the bus's largest RAM region for the compiled
 	// engine's inline load/store fast path; resolved lazily.
 	ram     []byte
 	ramBase uint32
@@ -315,8 +326,8 @@ type Machine struct {
 
 	// dirty is the page-granular dirty bitmap over the direct-RAM
 	// region: bit p covers bytes [p<<DirtyPageShift, (p+1)<<DirtyPageShift)
-	// relative to ramBase and is set by every store path (all four
-	// engines funnel through noteRAMStore) and every host-side write
+	// relative to ramBase and is set by every store path (both engines
+	// funnel through noteRAMStore) and every host-side write
 	// folded in via NoteRAMWrite/NoteRAMWriteRange. Invariant: set bits
 	// always lie inside the watermark box, so ResetStoreWatermark clears
 	// only the words the box covers. nil when DisableDirtyPages is set
@@ -869,7 +880,7 @@ func (m *Machine) severChain(t *tb) {
 // consulting the private cache first, then the attached shared pool,
 // then decoding from memory.
 func (m *Machine) translate(pc uint32) (*tb, *mem.Fault) {
-	if t, ok := m.tbs[pc]; ok && !m.DisableTBCache && t.prof == m.Profile &&
+	if t, ok := m.tbs[pc]; ok && t.prof == m.Profile &&
 		t.ext == m.ISA && t.sub == m.subset {
 		return t, nil
 	}
@@ -939,8 +950,8 @@ func (m *Machine) translate(pc uint32) (*tb, *mem.Fault) {
 func (m *Machine) install(t *tb) {
 	pc := t.info.PC
 	if old := m.tbs[pc]; old != nil {
-		// A stale block (profile/ISA change, DisableTBCache retranslate)
-		// is replaced; make sure nothing chains to it any more.
+		// A stale block (profile/ISA/subset change) is replaced; make
+		// sure nothing chains to it any more.
 		m.severChain(old)
 		m.stats.TBsInvalidated++
 	}
@@ -958,27 +969,19 @@ func (m *Machine) install(t *tb) {
 // block map and translating on miss. A fetch fault is turned into a trap
 // and nil is returned.
 func (m *Machine) lookupTB(pc uint32) *tb {
-	if !m.DisableTBCache {
-		slot := pc >> 1 & (jmpCacheSize - 1)
-		if t := m.jmp[slot]; t != nil && t.info.PC == pc && t.prof == m.Profile &&
-			t.ext == m.ISA && t.sub == m.subset {
-			m.stats.JumpCacheHits++
-			return t
-		}
-		m.stats.JumpCacheMisses++
-		t, f := m.translate(pc)
-		if f != nil {
-			m.trap(f.Cause, f.Addr, pc)
-			return nil
-		}
-		m.jmp[slot] = t
+	slot := pc >> 1 & (jmpCacheSize - 1)
+	if t := m.jmp[slot]; t != nil && t.info.PC == pc && t.prof == m.Profile &&
+		t.ext == m.ISA && t.sub == m.subset {
+		m.stats.JumpCacheHits++
 		return t
 	}
+	m.stats.JumpCacheMisses++
 	t, f := m.translate(pc)
 	if f != nil {
 		m.trap(f.Cause, f.Addr, pc)
 		return nil
 	}
+	m.jmp[slot] = t
 	return t
 }
 
@@ -1024,6 +1027,7 @@ func (m *Machine) trap(cause, tval, pc uint32) {
 	h := &m.Hart
 	m.Hooks.Trap(cause, tval, pc)
 	if cause>>31 == 0 {
+		m.excTaken++
 		if h.Mtvec == 0 {
 			// Exceptions without a handler stop the simulation: the usual
 			// configuration for bare test programs.
@@ -1050,13 +1054,20 @@ func (m *Machine) trap(cause, tval, pc uint32) {
 // The engines are architecturally equivalent: same Instret, Cycle,
 // registers, memory and traps for any program.
 func (m *Machine) Run(budget uint64) StopInfo {
-	switch m.Engine {
-	case EngineSwitch:
+	if m.Engine == EngineSwitch {
 		return m.runSwitch(budget)
-	case EngineSuperblock:
-		return m.runSuperblock(budget)
 	}
-	return m.runThreaded(budget)
+	return m.runSuperblock(budget)
+}
+
+// finishRun returns the stop that ended a Run. A budget stop is
+// resumable: it is cleared so Run can be called again.
+func (m *Machine) finishRun() StopInfo {
+	s := *m.stop
+	if s.Reason == StopBudget {
+		m.stop = nil
+	}
+	return s
 }
 
 // runSwitch is the interpreter-switch engine: every block execution
@@ -1075,39 +1086,44 @@ func (m *Machine) runSwitch(budget uint64) StopInfo {
 			m.trap(f.Cause, f.Addr, h.PC)
 			continue
 		}
-		if m.Hooks.HasBlockHooks() {
-			m.Hooks.BlockExec(t.info)
-		}
-		m.lastLoad = 0 // hazard state does not cross block boundaries
-		m.curTB = t
-		diverted := false
-		for i, in := range t.info.Insts {
-			if budget != 0 && left == 0 {
-				m.stop = &StopInfo{Reason: StopBudget, PC: h.PC}
-				break
-			}
-			if m.Hooks.HasInsnHooks() {
-				m.Hooks.InsnExec(t.info.Addrs[i], in)
-			}
-			diverted = m.execOne(in)
-			if budget != 0 {
-				left--
-			}
-			if diverted || m.stop != nil {
-				break
-			}
-		}
-		m.curTB = nil
-		if m.stop == nil && !diverted && budget != 0 && left == 0 {
+		m.interpBlock(t, budget, &left)
+	}
+	return m.finishRun()
+}
+
+// interpBlock runs one block through the interpreter switch, with block
+// and instruction hooks, per-instruction budget accounting and the
+// budget stop. It is the whole of the switch engine's block execution,
+// and the compiled engine's path for hooked runs and for a budget that
+// ends inside the block.
+func (m *Machine) interpBlock(t *tb, budget uint64, left *uint64) {
+	h := &m.Hart
+	if m.Hooks.HasBlockHooks() {
+		m.Hooks.BlockExec(t.info)
+	}
+	m.lastLoad = 0 // hazard state does not cross block boundaries
+	m.curTB = t
+	diverted := false
+	for i, in := range t.info.Insts {
+		if budget != 0 && *left == 0 {
 			m.stop = &StopInfo{Reason: StopBudget, PC: h.PC}
+			break
+		}
+		if m.Hooks.HasInsnHooks() {
+			m.Hooks.InsnExec(t.info.Addrs[i], in)
+		}
+		diverted = m.execOne(in)
+		if budget != 0 {
+			*left--
+		}
+		if diverted || m.stop != nil {
+			break
 		}
 	}
-	s := *m.stop
-	if s.Reason == StopBudget {
-		// A budget stop is resumable: clear it so Run can be called again.
-		m.stop = nil
+	m.curTB = nil
+	if m.stop == nil && !diverted && budget != 0 && *left == 0 {
+		m.stop = &StopInfo{Reason: StopBudget, PC: h.PC}
 	}
-	return s
 }
 
 // Step executes exactly one instruction (no block caching); the fault

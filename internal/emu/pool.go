@@ -75,7 +75,7 @@ type TBPool struct {
 // pristine image — is compiled (if it has not been yet) and published.
 // The machine keeps its private cache; the returned pool holds only the
 // immutable compiled parts. Returns an empty pool when the cache is
-// empty or DisableTBCache is set (nothing trustworthy to share).
+// empty.
 func (m *Machine) BuildTBPool() *TBPool {
 	p := &TBPool{
 		prof:   m.Profile,
@@ -83,9 +83,6 @@ func (m *Machine) BuildTBPool() *TBPool {
 		sub:    m.subset,
 		blocks: make(map[uint32]*tbCode, len(m.tbs)),
 		lo:     ^uint32(0),
-	}
-	if m.DisableTBCache {
-		return p
 	}
 	for pc, t := range m.tbs {
 		if t.prof != m.Profile || t.ext != m.ISA || t.sub != m.subset {
@@ -170,11 +167,10 @@ func (m *Machine) TBPoolAttached() bool { return m.pool != nil }
 
 // activePool returns the attached pool if it is currently usable for
 // this machine: generation agrees and the machine's specialization
-// matches the pool's. DisableTBCache bypasses the pool entirely, keeping
-// the retranslate-everything ablation baseline pure.
+// matches the pool's.
 func (m *Machine) activePool() *TBPool {
 	p := m.pool
-	if p == nil || m.DisableTBCache || p.prof != m.Profile || p.ext != m.ISA ||
+	if p == nil || p.prof != m.Profile || p.ext != m.ISA ||
 		p.sub != m.subset || p.gen.Load() != m.poolGen {
 		return nil
 	}

@@ -138,10 +138,10 @@ func TestTBPoolGenerationInvalidate(t *testing.T) {
 }
 
 // TestTBPoolSwitchEngineAdoption: pooled blocks carry precompiled
-// threaded ops but are adoptable by either engine — the decoded metadata
+// micro-ops but are adoptable by either engine — the decoded metadata
 // drives the switch interpreter unchanged.
 func TestTBPoolSwitchEngineAdoption(t *testing.T) {
-	pool := buildPool(t, poolProg) // donor ran the default threaded engine
+	pool := buildPool(t, poolProg) // donor ran the default superblock engine
 
 	p := poolPlatform(t, poolProg)
 	p.Machine.Engine = emu.EngineSwitch

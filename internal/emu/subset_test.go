@@ -67,7 +67,7 @@ func runSubsetTrap(t *testing.T, engine emu.Engine, stepped bool) (emu.StopInfo,
 
 // TestSubsetTrapDeterministic proves the negative half of subset
 // enforcement on every engine: the out-of-subset instruction traps, the
-// trap is precise, and all four execution paths report the identical
+// trap is precise, and all three execution paths report the identical
 // stop state.
 func TestSubsetTrapDeterministic(t *testing.T) {
 	type result struct {
@@ -81,9 +81,8 @@ func TestSubsetTrapDeterministic(t *testing.T) {
 		stepped bool
 	}{
 		{"switch", emu.EngineSwitch, false},
-		{"threaded", emu.EngineThreaded, false},
 		{"superblock", emu.EngineSuperblock, false},
-		{"step", emu.EngineThreaded, true},
+		{"step", emu.EngineSuperblock, true},
 	} {
 		stop, instret, badPC := runSubsetTrap(t, e.engine, e.stepped)
 		if stop.Reason != emu.StopTrap {
@@ -127,7 +126,7 @@ handler:
 	li   a1, 99
 	mret
 `
-	for _, engine := range []emu.Engine{emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock} {
+	for _, engine := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
 		p, err := vp.New(vp.Config{Profile: timing.Unit()})
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 // Tests for the superblock trace engine beyond the bit-exactness
 // differential: trace formation actually happens on real workloads (the
-// engine must not silently degrade into pure threaded execution),
+// engine must not silently degrade into block-at-a-time execution),
 // stores into an active trace sever it precisely, and the pool's
 // frozen-superblock tier warm-starts attached machines.
 
@@ -90,7 +90,7 @@ alt:
 
 // TestSuperblockSelfmodSeversTrace proves a store into the middle of an
 // active superblock severs the trace and the patched path re-executes
-// bit-identically to the threaded engine — with and without a shared
+// bit-identically to the switch interpreter — with and without a shared
 // pool attached.
 func TestSuperblockSelfmodSeversTrace(t *testing.T) {
 	run := func(t *testing.T, engine emu.Engine, pool *emu.TBPool) (*vp.Platform, emu.StopInfo) {
@@ -109,7 +109,7 @@ func TestSuperblockSelfmodSeversTrace(t *testing.T) {
 		return p, p.Run(20_000)
 	}
 
-	ref, refStop := run(t, emu.EngineThreaded, nil)
+	ref, refStop := run(t, emu.EngineSwitch, nil)
 
 	// A donor superblock run provides a pool with a frozen-trace tier;
 	// traces over the patched range must not be published (the donor's

@@ -349,44 +349,39 @@ func cyclesOf(w workloads.Workload, prof *timing.Profile) (uint64, error) {
 
 // MIPSRow is one emulation-speed measurement across the engine axis.
 type MIPSRow struct {
-	Program      string
-	MIPSThreaded float64
-	MIPSSwitch   float64
-	MIPSNoTB     float64
+	Program        string
+	MIPSSuperblock float64
+	MIPSSwitch     float64
 }
 
 // E8MIPS measures emulator speed (million instructions per host second)
-// per workload under the threaded-code engine, the switch engine, and
-// the switch engine with the translation-block cache disabled.
+// per workload under the compiled superblock engine and the switch
+// interpreter.
 func E8MIPS() ([]MIPSRow, string, error) {
 	var rows []MIPSRow
 	var sb strings.Builder
 	sb.WriteString("E8: emulation speed (host MIPS)\n")
-	fmt.Fprintf(&sb, "  %-14s %10s %10s %12s %8s\n", "program", "threaded", "switch", "no-tb-cache", "thr/sw")
+	fmt.Fprintf(&sb, "  %-14s %10s %10s %8s\n", "program", "superblock", "switch", "sb/sw")
 	for _, w := range workloads.All() {
-		mt, err := mips(w, emu.EngineThreaded, false)
+		mc, err := mips(w, emu.EngineSuperblock)
 		if err != nil {
 			return nil, "", err
 		}
-		ms, err := mips(w, emu.EngineSwitch, false)
+		ms, err := mips(w, emu.EngineSwitch)
 		if err != nil {
 			return nil, "", err
 		}
-		mn, err := mips(w, emu.EngineSwitch, true)
-		if err != nil {
-			return nil, "", err
-		}
-		r := MIPSRow{Program: w.Name, MIPSThreaded: mt, MIPSSwitch: ms, MIPSNoTB: mn}
+		r := MIPSRow{Program: w.Name, MIPSSuperblock: mc, MIPSSwitch: ms}
 		rows = append(rows, r)
-		fmt.Fprintf(&sb, "  %-14s %10.1f %10.1f %12.1f %8.2fx\n",
-			r.Program, r.MIPSThreaded, r.MIPSSwitch, r.MIPSNoTB, r.MIPSThreaded/r.MIPSSwitch)
+		fmt.Fprintf(&sb, "  %-14s %10.1f %10.1f %8.2fx\n",
+			r.Program, r.MIPSSuperblock, r.MIPSSwitch, r.MIPSSuperblock/r.MIPSSwitch)
 	}
 	return rows, sb.String(), nil
 }
 
 // mips times steady-state runs (one platform, rewound between reps) and
 // returns the best observed MIPS.
-func mips(w workloads.Workload, engine emu.Engine, disableTB bool) (float64, error) {
+func mips(w workloads.Workload, engine emu.Engine) (float64, error) {
 	const reps = 3
 	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
 	if err != nil {
@@ -397,7 +392,6 @@ func mips(w workloads.Workload, engine emu.Engine, disableTB bool) (float64, err
 		return 0, err
 	}
 	p.Machine.Engine = engine
-	p.Machine.DisableTBCache = disableTB
 	if err := p.LoadProgram(prog); err != nil {
 		return 0, err
 	}

@@ -157,7 +157,7 @@ type Target struct {
 	LatencyBudget uint64
 
 	// Engine selects the execution engine for the golden run and every
-	// mutant (the zero value is the threaded-code engine, mirroring
+	// mutant (the zero value is the compiled superblock engine, mirroring
 	// emu.Machine.Engine), so campaigns can be run and compared on both
 	// engines.
 	Engine emu.Engine

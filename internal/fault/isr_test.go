@@ -84,7 +84,7 @@ func TestISRCampaignEngineIdentity(t *testing.T) {
 	for _, name := range []string{"pid_timer", "dma_stream"} {
 		t.Run(name, func(t *testing.T) {
 			var ref []fault.Outcome
-			for _, eng := range []emu.Engine{emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock} {
+			for _, eng := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
 				for _, noPool := range []bool{false, true} {
 					tgt, w := isrTarget(t, name, 3000)
 					tgt.Engine = eng

@@ -15,7 +15,7 @@ import (
 // campaign with dirty-page tracking and one with the single-watermark
 // baseline (Target.NoDirtyPages) classify every mutant identically, bit
 // for bit. The mixed plan includes stuck-at faults, which run on the
-// Step engine inside the campaign, so all four engines cross the
+// Step engine inside the campaign, so all three execution paths cross the
 // differential.
 func TestCampaignDirtyPagesDifferential(t *testing.T) {
 	tg, _ := target(t, "crc32")
@@ -41,7 +41,6 @@ func TestCampaignDirtyPagesDifferential(t *testing.T) {
 		name   string
 		engine emu.Engine
 	}{
-		{"threaded", emu.EngineThreaded},
 		{"switch", emu.EngineSwitch},
 		{"superblock", emu.EngineSuperblock},
 	} {

@@ -57,7 +57,6 @@ func TestCampaignPoolDifferential(t *testing.T) {
 		name   string
 		engine emu.Engine
 	}{
-		{"threaded", emu.EngineThreaded},
 		{"switch", emu.EngineSwitch},
 		{"superblock", emu.EngineSuperblock},
 	} {
@@ -97,9 +96,10 @@ func TestCampaignPoolDifferential(t *testing.T) {
 	}
 }
 
-// TestCampaignSuperblockDifferential proves the superblock trace engine
-// is architecturally invisible to fault campaigns: against a threaded
-// reference, a superblock campaign classifies every mutant identically —
+// TestCampaignSuperblockDifferential proves the compiled superblock
+// engine is architecturally invisible to fault campaigns: against a
+// switch-interpreter reference, a superblock campaign classifies every
+// mutant identically —
 // with and without the shared pool (whose frozen-trace tier warm-starts
 // workers), at one and four workers. Code-mutating faults force trace
 // invalidation and overlay paths, the sharpest part of the contract.
@@ -111,7 +111,7 @@ func TestCampaignSuperblockDifferential(t *testing.T) {
 	}
 
 	ttg := *tg
-	ttg.Engine = emu.EngineThreaded
+	ttg.Engine = emu.EngineSwitch
 	plan := poolPlan(&ttg, g)
 	ref, _ := runPoolCampaign(t, &ttg, plan, 1, false)
 
@@ -127,7 +127,7 @@ func TestCampaignSuperblockDifferential(t *testing.T) {
 				}
 				for i := range got.Details {
 					if got.Details[i] != ref.Details[i] {
-						t.Errorf("mutant %d (%v): superblock=%v threaded=%v",
+						t.Errorf("mutant %d (%v): superblock=%v switch=%v",
 							i, plan.Faults[i], got.Details[i], ref.Details[i])
 					}
 				}

@@ -56,7 +56,7 @@ func TestIRTSoundness(t *testing.T) {
 func TestIRTEngineAgreement(t *testing.T) {
 	w, _ := workloads.ByName("dma_stream")
 	var ref *flow.IRTResult
-	for _, eng := range []emu.Engine{emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock} {
+	for _, eng := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
 		res, err := flow.RunIRT(context.Background(), w, timing.EdgeSmall(), flow.IRTConfig{
 			Engine: eng, Samples: 16, Seed: 7,
 		})

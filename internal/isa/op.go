@@ -193,6 +193,10 @@ const (
 	ClassBMI           // bit-manipulation (Xbmi)
 )
 
+// NumClasses is the number of defined Classes, for tables indexed by
+// Class.
+const NumClasses = int(ClassBMI) + 1
+
 var classNames = map[Class]string{
 	ClassNone: "none", ClassALU: "alu", ClassShift: "shift",
 	ClassMul: "mul", ClassDiv: "div", ClassLoad: "load",

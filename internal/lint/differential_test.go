@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the soundness net for the linter, in the spirit of the
-// threaded engine's differential test: every workload and a batch of
-// seeded torture programs execute under the threaded engine with a
-// recording plugin attached, and no executed path may contradict a
+// engine differential test: every workload and a batch of seeded
+// torture programs execute under the default engine with a recording
+// plugin attached, and no executed path may contradict a
 // definite finding. Concretely: an address with a definite unreachable
 // finding must never execute, and a definite uninit-read at an executed
 // instruction must be corroborated by the dynamic trace (some source
@@ -104,7 +104,7 @@ func TestLintDifferentialSoundness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Machine.Engine = emu.EngineThreaded
+			p.Machine.Engine = emu.EngineSuperblock
 			p.Run(c.budget)
 
 			findings, err := flow.LintProgram(prog, c.bounds)

@@ -251,7 +251,7 @@ func (b *Bus) ReadBytes(addr uint32, n int) ([]byte, error) {
 
 // DirectRAM returns the base address and backing bytes of the largest
 // mapped RAM region, or (0, nil) when none is mapped. The emulator's
-// threaded engine uses it as an inline fast path for aligned data
+// compiled engine uses it as an inline fast path for aligned data
 // accesses that stay inside RAM, bypassing the region search.
 func (b *Bus) DirectRAM() (base uint32, bytes []byte) {
 	for _, r := range b.regions {

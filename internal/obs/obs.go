@@ -1,8 +1,9 @@
 // Package obs is the dependency-light observability layer of the
 // ecosystem: atomic counters, gauges and histograms collected in a
 // registry with Prometheus-text and JSON export, plus a structured
-// trace-event sink (trace.go). It exists so the runtime — the threaded
-// emulation engine, fault campaigns, QTA loops — is measurable in
+// trace-event sink (trace.go) and a CPU-profile helper for the
+// command-line tools (pprof.go). It exists so the runtime — the
+// emulation engines, fault campaigns, QTA loops — is measurable in
 // production instead of a black box.
 //
 // Overhead policy: every method is safe on a nil receiver and returns

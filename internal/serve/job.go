@@ -32,8 +32,9 @@ type Request struct {
 	Budget uint64 `json:"budget,omitempty"`
 	// Profile names the timing profile (default "edge-small").
 	Profile string `json:"profile,omitempty"`
-	// Engine selects the execution engine: "threaded" (default),
-	// "switch", or "superblock" (see emu.EngineNames).
+	// Engine selects the execution engine: "superblock" (default) or
+	// "switch"; "threaded" is accepted as an alias of "superblock" (see
+	// emu.EngineNames).
 	Engine string `json:"engine,omitempty"`
 	// Bounds are explicit loop bounds (label=N) for wcet/qta/lint jobs.
 	Bounds map[string]int `json:"bounds,omitempty"`

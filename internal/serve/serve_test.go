@@ -541,7 +541,7 @@ func TestISRFaultServiceMatchesCLI(t *testing.T) {
 	s := newServer(t, Config{Workers: 2})
 
 	var first []string
-	for _, eng := range []string{"switch", "threaded", "superblock"} {
+	for _, eng := range emu.EngineNames() {
 		e, err := emu.ParseEngine(eng)
 		if err != nil {
 			t.Fatal(err)

@@ -25,8 +25,8 @@ import (
 //  2. Transparency: running with the subset installed as an enforcement
 //     allowlist (emu.Machine.SetSubset) is bit-identical to an
 //     unrestricted run — same stop, counters, register files, trap CSRs,
-//     RAM and UART output — on the switch, threaded and superblock
-//     engines and under Step().
+//     RAM and UART output — on the switch and superblock engines and
+//     under Step().
 
 type soundCase struct {
 	name   string
@@ -195,9 +195,8 @@ func TestSubsetSoundnessAndTransparency(t *testing.T) {
 		stepped bool
 	}{
 		{"switch", emu.EngineSwitch, false},
-		{"threaded", emu.EngineThreaded, false},
 		{"superblock", emu.EngineSuperblock, false},
-		{"step", emu.EngineThreaded, true},
+		{"step", emu.EngineSuperblock, true},
 	}
 	for _, c := range soundCases(t) {
 		c := c
@@ -206,7 +205,7 @@ func TestSubsetSoundnessAndTransparency(t *testing.T) {
 
 			// Reference run, collecting the dynamic opcode set.
 			cov := cover.New(isa.RV32Full)
-			ref := runEnforced(t, c, emu.EngineThreaded, false, isa.OpSet{}, cov)
+			ref := runEnforced(t, c, emu.EngineSwitch, false, isa.OpSet{}, cov)
 			if ref.stop.Reason == emu.StopBudget {
 				t.Fatalf("reference run did not terminate within %d insts", c.budget)
 			}

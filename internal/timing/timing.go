@@ -23,9 +23,9 @@ import (
 type Profile struct {
 	ProfileName string
 
-	// Base cycle cost per instruction class. Classes with zero entries
-	// default to 1 cycle.
-	Class map[isa.Class]uint32
+	// Base cycle cost per instruction class, indexed by isa.Class.
+	// Classes with zero entries default to 1 cycle.
+	Class [isa.NumClasses]uint32
 
 	// BranchTakenPenalty is the pipeline flush cost added when a
 	// conditional branch is taken (static not-taken prediction).
@@ -69,7 +69,7 @@ func (p *Profile) Name() string { return p.ProfileName }
 
 // base returns the base cost of a class (default 1).
 func (p *Profile) base(c isa.Class) uint32 {
-	if v, ok := p.Class[c]; ok {
+	if v := p.Class[c]; v != 0 {
 		return v
 	}
 	return 1
@@ -142,7 +142,7 @@ func (p *Profile) String() string { return fmt.Sprintf("profile(%s)", p.ProfileN
 func EdgeSmall() *Profile {
 	return &Profile{
 		ProfileName: "edge-small",
-		Class: map[isa.Class]uint32{
+		Class: [isa.NumClasses]uint32{
 			isa.ClassMul:     8,
 			isa.ClassDiv:     33,
 			isa.ClassLoad:    2,
@@ -171,7 +171,7 @@ func EdgeSmall() *Profile {
 func EdgeFast() *Profile {
 	return &Profile{
 		ProfileName: "edge-fast",
-		Class: map[isa.Class]uint32{
+		Class: [isa.NumClasses]uint32{
 			isa.ClassMul:     1,
 			isa.ClassDiv:     16,
 			isa.ClassLoad:    1,

@@ -35,9 +35,7 @@ func runDemo(t *testing.T, w workloads.Workload, prof *timing.Profile, engine em
 // polls per instruction rather than per block) must agree exactly.
 func TestInterruptDemonstrators(t *testing.T) {
 	for _, w := range workloads.Interrupt() {
-		for _, eng := range []emu.Engine{
-			emu.EngineSwitch, emu.EngineThreaded, emu.EngineSuperblock,
-		} {
+		for _, eng := range []emu.Engine{emu.EngineSwitch, emu.EngineSuperblock} {
 			t.Run(w.Name+"/"+eng.String(), func(t *testing.T) {
 				_, stop := runDemo(t, w, timing.EdgeSmall(), eng)
 				if stop.Reason != emu.StopExit {

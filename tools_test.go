@@ -302,6 +302,34 @@ func TestToolchainEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("cpuprofile", func(t *testing.T) {
+		for _, c := range []struct {
+			tool string
+			args []string
+			exit int
+		}{
+			{"s4e-run", []string{src}, 136 & 0x7f},
+			{"s4e-fault", []string{"-gpr", "5", "-mem", "1", "-code", "1", src}, 0},
+			{"s4e-bench", []string{"-o", filepath.Join(work, "prof-bench.json"), "-reps", "1",
+				"-workloads", "xtea", "-campaign-workload", "", "-restore-mutants", "0",
+				"-service-jobs", "0", "-irq-samples", "0"}, 0},
+		} {
+			prof := filepath.Join(work, c.tool+".cpu")
+			out, code := runTool(t, filepath.Join(bin, c.tool), append([]string{"-cpuprofile", prof}, c.args...)...)
+			if code != c.exit {
+				t.Fatalf("%s -cpuprofile: exit %d, want %d:\n%s", c.tool, code, c.exit, out)
+			}
+			data, err := os.ReadFile(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A pprof profile is a gzip-compressed protobuf.
+			if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+				t.Errorf("%s: %s is not a pprof profile (%d bytes)", c.tool, prof, len(data))
+			}
+		}
+	})
+
 	t.Run("bench-json", func(t *testing.T) {
 		dst := filepath.Join(work, "bench.json")
 		out, code := runTool(t, filepath.Join(bin, "s4e-bench"),
@@ -313,7 +341,7 @@ func TestToolchainEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, frag := range []string{`"threaded"`, `"switch"`, `"no-tb-cache"`, `"xtea"`} {
+		for _, frag := range []string{`"superblock"`, `"switch"`, `"xtea"`} {
 			if !strings.Contains(string(data), frag) {
 				t.Errorf("bench JSON missing %q:\n%s", frag, data)
 			}
