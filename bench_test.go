@@ -229,8 +229,8 @@ func BenchmarkE7_BMI(b *testing.B) {
 // BenchmarkE8_MIPS measures raw emulation speed across the engine axis:
 // the compiled superblock engine and the interpreter-switch engine. One
 // platform is built per sub-benchmark and rewound between iterations
-// with the watermark-based RestoreReuse, so the timed loop holds
-// emulation only — not assembly or RAM allocation.
+// with RestoreReuse, so the timed loop holds emulation only — not
+// assembly or RAM allocation.
 func BenchmarkE8_MIPS(b *testing.B) {
 	for _, engine := range emu.Engines() {
 		b.Run(engine.String(), func(b *testing.B) {
@@ -267,12 +267,11 @@ func BenchmarkE8_MIPS(b *testing.B) {
 	}
 }
 
-// BenchmarkE12_RestoreScatter measures the differential-restore win on a
+// BenchmarkE12_RestoreScatter measures the dirty-page rewind on a
 // scattered-store workload: one word near the bottom of RAM and one near
 // the top, so the watermark box spans almost all of RAM while only two
-// pages are dirty. The pages arm rewinds via the dirty-page bitmap, the
-// watermark arm (DisableDirtyPages) re-copies the whole box; both report
-// the bytes actually copied per restore.
+// pages are dirty. It reports the bytes and pages actually copied per
+// restore.
 func BenchmarkE12_RestoreScatter(b *testing.B) {
 	const scatterSrc = `
 	la t0, buf
@@ -283,38 +282,27 @@ func BenchmarkE12_RestoreScatter(b *testing.B) {
 buf:
 	.word 0
 `
-	for _, mode := range []struct {
-		name         string
-		disablePages bool
-	}{
-		{"pages", false},
-		{"watermark", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			p, err := vp.New(vp.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.Machine.DisableDirtyPages = mode.disablePages
-			prog, err := p.LoadSource(vp.Prelude + scatterSrc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := p.Snapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if stop := p.Run(1_000_000); stop.Reason != emu.StopEbreak {
-					b.Fatalf("%+v", stop)
-				}
-				p.RestoreReuse(base, prog)
-			}
-			b.StopTimer()
-			st := p.RestoreStats()
-			if st.Restores > 0 {
-				b.ReportMetric(float64(st.RestoreBytes)/float64(st.Restores), "restore-B/op")
-				b.ReportMetric(float64(st.RestorePages)/float64(st.Restores), "restore-pages/op")
-			}
-		})
+	p, err := vp.New(vp.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := p.LoadSource(vp.Prelude + scatterSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := p.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if stop := p.Run(1_000_000); stop.Reason != emu.StopEbreak {
+			b.Fatalf("%+v", stop)
+		}
+		p.RestoreReuse(base, prog)
+	}
+	b.StopTimer()
+	st := p.RestoreStats()
+	if st.Restores > 0 {
+		b.ReportMetric(float64(st.RestoreBytes)/float64(st.Restores), "restore-B/op")
+		b.ReportMetric(float64(st.RestorePages)/float64(st.Restores), "restore-pages/op")
 	}
 }
 

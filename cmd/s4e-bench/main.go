@@ -122,21 +122,6 @@ type irqStats struct {
 	SamplesPerSec float64 `json:"samples_per_sec"`
 }
 
-// restoreStats is one point on the restore axis (experiment E12): a
-// fault campaign whose per-mutant rewind cost is measured with
-// page-granular dirty tracking on ("pages") or off ("watermark", the
-// bounding-box baseline). The scattered-store workload is the
-// pathological case for the baseline; the dense workload guards against
-// a throughput regression on ordinary store patterns.
-type restoreStats struct {
-	Workload              string  `json:"workload"`
-	Tracking              string  `json:"tracking"` // "pages" or "watermark"
-	Mutants               int     `json:"mutants"`
-	MutantsPerSec         float64 `json:"mutants_per_sec"`
-	RestoreBytesPerMutant float64 `json:"restore_bytes_per_mutant"`
-	RestorePagesPerMutant float64 `json:"restore_pages_per_mutant"`
-}
-
 // Result is the written JSON document.
 type Result struct {
 	GoVersion string `json:"go_version"`
@@ -152,9 +137,6 @@ type Result struct {
 	EngineStats map[string][]engineStats `json:"engine_stats"`
 	// Campaign is the fault-campaign pool axis ("pool-on"/"pool-off").
 	Campaign map[string]campaignStats `json:"campaign,omitempty"`
-	// Restore is the differential-restore axis (E12), keyed
-	// "{scatter,dense}-{pages,watermark}".
-	Restore map[string]restoreStats `json:"restore,omitempty"`
 	// Service is the analysis-service throughput axis, keyed
 	// "q<depth>-pool-{on,off}".
 	Service map[string]serviceStats `json:"service,omitempty"`
@@ -252,81 +234,6 @@ func measureCampaign(w workloads.Workload, workers, mutants, reps int, noPool bo
 	return cs, nil
 }
 
-// scatterSource is the restore axis's pathological workload: every
-// iteration dirties one word at the bottom of RAM (buf, just past the
-// code) and one at the top (stack-relative), so the store-watermark
-// bounding box spans essentially all platform RAM while only a couple
-// of pages are actually dirty. It exits with a checksum like every
-// other workload, so fault campaigns classify mutants normally.
-const scatterSource = `
-	li a0, 0
-	li a2, 64
-	la a3, buf
-scatter:
-	add a0, a0, a2
-	sw a0, 0(a3)
-	sw a0, -16(sp)
-	addi a2, a2, -1
-	bnez a2, scatter
-	li t6, SYSCON_EXIT
-	sw a0, 0(t6)
-1:	j 1b
-buf:
-	.word 0
-`
-
-// scatterBudget safely covers the 64-iteration scatter loop.
-const scatterBudget = 10_000
-
-// measureRestore runs one fault campaign with per-mutant restore
-// accounting, with dirty-page tracking on (pages=true) or off (the
-// watermark baseline). One worker keeps the byte accounting
-// deterministic: every mutant's dirty state except the last one's is
-// rewound exactly once.
-func measureRestore(w, src string, budget uint64, mutants, reps int, pages bool) (restoreStats, error) {
-	prog, err := asm.AssembleAt(vp.Prelude+src, vp.RAMBase)
-	if err != nil {
-		return restoreStats{}, err
-	}
-	tg := &fault.Target{Program: prog, Budget: budget, NoDirtyPages: !pages}
-	g, err := fault.RunGolden(tg)
-	if err != nil {
-		return restoreStats{}, err
-	}
-	end := vp.RAMBase + uint32(len(prog.Bytes))
-	// Register and data faults only: the restore axis measures rewind
-	// cost, and these models dirty state without invalidating code, so
-	// the contrast between box-span and page-run copying is undiluted.
-	plan := fault.NewPlan(fault.PlanConfig{
-		Seed:         12,
-		GPRTransient: mutants / 2,
-		MemPermanent: mutants - mutants/2,
-		GoldenInsts:  g.Insts,
-		DataStart:    vp.RAMBase, DataEnd: end,
-	})
-	rs := restoreStats{
-		Workload: w,
-		Tracking: map[bool]string{true: "pages", false: "watermark"}[pages],
-		Mutants:  len(plan.Faults),
-	}
-	for r := 0; r < reps; r++ {
-		reg := obs.NewRegistry()
-		res, err := fault.CampaignOpt(tg, plan, fault.Options{Workers: 1, Metrics: reg})
-		if err != nil {
-			return restoreStats{}, err
-		}
-		mps := float64(res.Total) / res.Duration.Seconds()
-		if mps > rs.MutantsPerSec {
-			rs.MutantsPerSec = mps
-			if n := reg.Counter(vp.MetricRestores, "").Value(); n > 0 {
-				rs.RestoreBytesPerMutant = float64(reg.Counter(vp.MetricRestoreBytesTotal, "").Value()) / float64(n)
-				rs.RestorePagesPerMutant = float64(reg.Counter(vp.MetricRestorePagesTotal, "").Value()) / float64(n)
-			}
-		}
-	}
-	return rs, nil
-}
-
 // measureService pushes a burst of identical campaign jobs through an
 // in-process analysis service at one queue depth and reports jobs/sec
 // plus the p50/p99 execution latency read back from the service's
@@ -412,10 +319,6 @@ func main() {
 		"workload for the fault-campaign pool axis (empty: skip the campaign axis)")
 	campMutants := flag.Int("campaign-mutants", 400, "mutants per campaign measurement")
 	campWorkers := flag.Int("campaign-workers", 4, "campaign workers per measurement")
-	restoreMutants := flag.Int("restore-mutants", 300,
-		"mutants per restore-axis measurement (0: skip the restore axis)")
-	restoreDense := flag.String("restore-dense-workload", "crc32",
-		"dense workload for the restore axis's no-regression arm")
 	svcJobs := flag.Int("service-jobs", 16,
 		"jobs per analysis-service measurement (0: skip the service axis)")
 	svcWorkload := flag.String("service-workload", "xtea", "workload for the service axis")
@@ -573,55 +476,6 @@ func main() {
 		}
 	}
 	res.AxisSeconds["campaign"] = time.Since(axisStart).Seconds()
-
-	// Restore axis (E12): per-mutant rewind cost, page-granular dirty
-	// tracking vs the watermark baseline, on a scattered-store workload
-	// (where the baseline degenerates to near-full-RAM copies) and a
-	// dense one (where pages must not regress throughput).
-	axisStart = time.Now()
-	if *restoreMutants > 0 {
-		dw, ok := workloads.ByName(*restoreDense)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "s4e-bench: unknown restore workload %q\n", *restoreDense)
-			os.Exit(2)
-		}
-		res.Restore = map[string]restoreStats{}
-		for _, arm := range []struct {
-			key, workload, src string
-			budget             uint64
-		}{
-			{"scatter", "scatter", scatterSource, scatterBudget},
-			{"dense", dw.Name, dw.Source, dw.Budget},
-		} {
-			for _, pages := range []bool{true, false} {
-				key := fmt.Sprintf("%s-%s", arm.key, map[bool]string{true: "pages", false: "watermark"}[pages])
-				if *progress {
-					fmt.Fprintf(os.Stderr, "s4e-bench: restore %s (%d mutants, %d reps)\n",
-						key, *restoreMutants, *reps)
-				}
-				rs, err := measureRestore(arm.workload, arm.src, arm.budget, *restoreMutants, *reps, pages)
-				if err != nil {
-					fatal(err)
-				}
-				res.Restore[key] = rs
-				tr.Emit("restore-measurement", "mode", key, "mutants_per_sec", rs.MutantsPerSec,
-					"restore_bytes_per_mutant", rs.RestoreBytesPerMutant)
-				fmt.Printf("restore %-18s %s: %8.0f mutants/sec  %10.0f B/mutant  %6.1f pages/mutant\n",
-					key, rs.Workload, rs.MutantsPerSec, rs.RestoreBytesPerMutant, rs.RestorePagesPerMutant)
-			}
-		}
-		sp, sw := res.Restore["scatter-pages"], res.Restore["scatter-watermark"]
-		if sp.RestoreBytesPerMutant > 0 {
-			fmt.Printf("restore scatter watermark/pages: %.1fx fewer bytes restored per mutant\n",
-				sw.RestoreBytesPerMutant/sp.RestoreBytesPerMutant)
-		}
-		dp, dwm := res.Restore["dense-pages"], res.Restore["dense-watermark"]
-		if dwm.MutantsPerSec > 0 {
-			fmt.Printf("restore dense pages/watermark: %.2fx mutants/sec\n",
-				dp.MutantsPerSec/dwm.MutantsPerSec)
-		}
-	}
-	res.AxisSeconds["restore"] = time.Since(axisStart).Seconds()
 
 	// Service axis: the same campaign work pushed through internal/serve
 	// as concurrent jobs, across queue depths, pool sharing on vs off.

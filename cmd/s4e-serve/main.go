@@ -52,6 +52,13 @@ import (
 	"repro/internal/serve/store"
 )
 
+// Connection timeouts: a client gets this long to send its request
+// headers, and an idle keep-alive connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel job executors")
@@ -97,7 +104,12 @@ func main() {
 		TerminalTTL:    *retainTTL,
 		Store:          st,
 	})
-	hs := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: job event streams stay open for a job's lifetime.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s4e-serve:", err)

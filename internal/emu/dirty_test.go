@@ -22,13 +22,12 @@ buf:
 	.word 0
 `
 
-func scatterPlatform(t *testing.T, disablePages bool) *vp.Platform {
+func scatterPlatform(t *testing.T) *vp.Platform {
 	t.Helper()
 	p, err := vp.New(vp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Machine.DisableDirtyPages = disablePages
 	if _, err := p.LoadSource(vp.Prelude + scatterSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +45,10 @@ func dirtySummary(m *emu.Machine) (ranges int, total uint64) {
 	return ranges, total
 }
 
-// TestDirtyRangesScattered: with the page bitmap on, two scattered
-// stores report two small dirty ranges — not the multi-megabyte
+// TestDirtyRangesScattered: two scattered stores report two small dirty ranges — not the multi-megabyte
 // watermark box — and the untouched middle of RAM tests clean.
 func TestDirtyRangesScattered(t *testing.T) {
-	p := scatterPlatform(t, false)
+	p := scatterPlatform(t)
 	m := p.Machine
 
 	wlo, whi := m.StoreWatermark()
@@ -85,34 +83,11 @@ func TestDirtyRangesScattered(t *testing.T) {
 	}
 }
 
-// TestDirtyRangesWatermarkFallback: with DisableDirtyPages the machine
-// degenerates to the pre-bitmap behaviour — one dirty range equal to
-// the watermark box, and box overlap is the (conservative) answer.
-func TestDirtyRangesWatermarkFallback(t *testing.T) {
-	p := scatterPlatform(t, true)
-	m := p.Machine
-
-	wlo, whi := m.StoreWatermark()
-	ranges, total := dirtySummary(m)
-	if ranges != 1 {
-		t.Fatalf("dirty ranges = %d, want 1 (the watermark box)", ranges)
-	}
-	if total != uint64(whi-wlo) {
-		t.Errorf("dirty bytes = %d, want the box span %d", total, whi-wlo)
-	}
-	mid := uint32(vp.RAMBase + 2<<20)
-	if !m.DirtyOverlaps(mid, mid+4096) {
-		t.Error("fallback must report the whole box dirty")
-	}
-}
-
 // TestPoolAdoptionBetweenScatteredStores: scattered dirty state
 // bracketing a clean code region must not block pool adoption — the
 // page-granular check refines the watermark box, so a consumer whose
 // box covers the code (but whose code pages are clean) still adopts
-// every block. With the bitmap disabled, the old box rule applies and
-// the consumer compiles privately: the exact behaviour change the
-// dirty-page tracking buys.
+// every block.
 func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 	// Load above RAM base so there is dirtiable space below the code.
 	const org = vp.RAMBase + 0x2000
@@ -120,19 +95,18 @@ func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := func(disablePages bool) *vp.Platform {
+	load := func() *vp.Platform {
 		p, err := vp.New(vp.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Machine.DisableDirtyPages = disablePages
 		if err := p.LoadProgram(prog); err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 
-	donor := load(false)
+	donor := load()
 	if stop := donor.Run(1_000_000); stop.Reason != emu.StopEbreak {
 		t.Fatalf("donor run: %+v", stop)
 	}
@@ -141,16 +115,13 @@ func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 		t.Fatal("donor produced an empty pool")
 	}
 
-	scatter := func(p *vp.Platform) {
+	// One arm, named for the page-granular dirty tracking it exercises.
+	t.Run("pages", func(t *testing.T) {
+		p := load()
+		p.Machine.AttachTBPool(pool)
 		top := uint32(vp.RAMBase + vp.DefaultRAMSize)
 		p.Machine.NoteRAMWrite(vp.RAMBase+4, 4)
 		p.Machine.NoteRAMWrite(top-8, 4)
-	}
-
-	t.Run("pages", func(t *testing.T) {
-		p := load(false)
-		p.Machine.AttachTBPool(pool)
-		scatter(p)
 		if p.Machine.CodePagesDirty() {
 			t.Error("code pages dirty before any code write")
 		}
@@ -168,18 +139,6 @@ func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 		p.Machine.NoteRAMWrite(org, 1)
 		if !p.Machine.CodePagesDirty() {
 			t.Error("write into translated code not reported by CodePagesDirty")
-		}
-	})
-
-	t.Run("watermark-fallback", func(t *testing.T) {
-		p := load(true)
-		p.Machine.AttachTBPool(pool)
-		scatter(p)
-		if stop := p.Run(1_000_000); stop.Reason != emu.StopEbreak {
-			t.Fatalf("run: %+v", stop)
-		}
-		if st := p.Machine.Stats(); st.TBsCompiled == 0 {
-			t.Error("fallback adopted through a covering watermark box; expected private compiles")
 		}
 	})
 }

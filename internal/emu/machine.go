@@ -239,14 +239,6 @@ type Machine struct {
 	subset   isa.OpSet
 	subsetOn bool
 
-	// DisableDirtyPages turns off the dirty-page bitmap, leaving only
-	// the byte-precise store watermark — the pre-bitmap baseline kept
-	// for the restore-cost ablation (bench E12) and differential tests.
-	// Must be set before the first load or run: the bitmap is sized when
-	// the direct-RAM fast path is resolved and never allocated when the
-	// flag is up.
-	DisableDirtyPages bool
-
 	// Engine selects the execution strategy; the zero value is the
 	// compiled superblock engine.
 	Engine Engine
@@ -305,8 +297,8 @@ type Machine struct {
 	// cycle count would be architecturally visible).
 	sbPolled bool
 
-	// codeWrites counts stores that hit translated code; the fault
-	// campaign uses it to detect runs that dirtied the code region.
+	// codeWrites counts stores that hit translated code; state rewinds
+	// use it to detect runs that dirtied the code region.
 	codeWrites uint64
 
 	// ram/ramBase cache the bus's largest RAM region for the compiled
@@ -317,10 +309,10 @@ type Machine struct {
 
 	// storeLo/storeHi is the RAM store watermark: the byte-precise
 	// bounding box of all data stores into RAM since the last
-	// ResetStoreWatermark. It is kept as a cheap summary of the dirty
-	// bitmap below — a fast disjointness reject for validity checks and
-	// the bound for bitmap clearing — and as the sound fallback when the
-	// bitmap is unavailable (DisableDirtyPages, no direct RAM).
+	// ResetStoreWatermark. It refines the dirty bitmap below to the byte
+	// at its extremes — a fast disjointness reject for validity checks,
+	// the trim of the outermost dirty ranges, and the bound for bitmap
+	// clearing.
 	storeLo uint32
 	storeHi uint32
 
@@ -330,8 +322,7 @@ type Machine struct {
 	// funnel through noteRAMStore) and every host-side write
 	// folded in via NoteRAMWrite/NoteRAMWriteRange. Invariant: set bits
 	// always lie inside the watermark box, so ResetStoreWatermark clears
-	// only the words the box covers. nil when DisableDirtyPages is set
-	// or no direct RAM is mapped — consumers fall back to the watermark.
+	// only the words the box covers. Empty when no direct RAM is mapped.
 	dirty []uint64
 
 	// stats holds the engine's lifetime performance counters. They are
@@ -389,10 +380,8 @@ func (m *Machine) ensureRAM() {
 	if !m.ramInit {
 		m.ramBase, m.ram = m.Bus.DirectRAM()
 		m.ramInit = true
-		if !m.DisableDirtyPages && m.ram != nil {
-			pages := (len(m.ram) + DirtyPageSize - 1) / DirtyPageSize
-			m.dirty = make([]uint64, (pages+63)/64)
-		}
+		pages := (len(m.ram) + DirtyPageSize - 1) / DirtyPageSize
+		m.dirty = make([]uint64, (pages+63)/64)
 	}
 }
 
@@ -408,12 +397,10 @@ func (m *Machine) noteRAMStore(addr uint32, size uint8) {
 	if end > m.storeHi {
 		m.storeHi = end
 	}
-	if m.dirty != nil {
-		p := (addr - m.ramBase) >> DirtyPageShift
-		m.dirty[p>>6] |= 1 << (p & 63)
-		if lp := (end - 1 - m.ramBase) >> DirtyPageShift; lp != p {
-			m.dirty[lp>>6] |= 1 << (lp & 63)
-		}
+	p := (addr - m.ramBase) >> DirtyPageShift
+	m.dirty[p>>6] |= 1 << (p & 63)
+	if lp := (end - 1 - m.ramBase) >> DirtyPageShift; lp != p {
+		m.dirty[lp>>6] |= 1 << (lp & 63)
 	}
 }
 
@@ -422,9 +409,6 @@ func (m *Machine) noteRAMStore(addr uint32, size uint8) {
 // addresses). The watermark is maintained by the callers.
 func (m *Machine) markDirtyPages(lo, hi uint32) {
 	m.ensureRAM()
-	if m.dirty == nil {
-		return
-	}
 	base := m.ramBase
 	if top := base + uint32(len(m.ram)); hi > top {
 		hi = top
@@ -475,7 +459,7 @@ func (m *Machine) NoteRAMWriteRange(lo, hi uint32) {
 // bitmap words the box covers are cleared — a rewind after a scattered
 // run does not pay a full-bitmap clear, only a full-box one.
 func (m *Machine) ResetStoreWatermark() {
-	if m.dirty != nil && m.storeLo < m.storeHi {
+	if m.storeLo < m.storeHi {
 		base := m.ramBase
 		lo, hi := m.storeLo, m.storeHi
 		if lo < base {
@@ -497,14 +481,11 @@ func (m *Machine) ResetStoreWatermark() {
 // written since the last ResetStoreWatermark. The watermark box gives a
 // cheap byte-precise reject; inside the box the page bitmap refines the
 // answer, so a block between two scattered stores tests clean even
-// though the box spans it. Without a bitmap (DisableDirtyPages, range
-// outside direct RAM) the box overlap is the conservative answer.
+// though the box spans it. Outside direct RAM the bitmap cannot attest,
+// so the box overlap is the conservative answer.
 func (m *Machine) DirtyOverlaps(lo, hi uint32) bool {
 	if lo >= hi || m.storeLo >= m.storeHi || hi <= m.storeLo || lo >= m.storeHi {
 		return false
-	}
-	if m.dirty == nil {
-		return true
 	}
 	base := m.ramBase
 	if top := base + uint32(len(m.ram)); hi > top {
@@ -527,16 +508,13 @@ func (m *Machine) DirtyOverlaps(lo, hi uint32) bool {
 }
 
 // CodePagesDirty reports whether any translated block overlaps dirty
-// state — the page-granular replacement for intersecting the watermark
-// with the code bounding box. Scattered data stores around a code region
-// no longer read as "code may be stale"; only a block whose own pages
-// were written does.
+// state. A watermark box disjoint from the code bounding box answers
+// without visiting a block; inside it, scattered data stores around a
+// code region do not read as "code may be stale" — only a block whose
+// own pages were written does.
 func (m *Machine) CodePagesDirty() bool {
-	if m.storeLo >= m.storeHi {
+	if m.storeLo >= m.storeHi || m.storeHi <= m.codeLo || m.storeLo >= m.codeHi {
 		return false
-	}
-	if m.dirty == nil {
-		return m.storeLo < m.codeHi && m.codeLo < m.storeHi
 	}
 	for _, t := range m.tbs {
 		if m.DirtyOverlaps(t.info.PC, t.end) {
@@ -550,9 +528,8 @@ func (m *Machine) CodePagesDirty() bool {
 // absolute address range, clamped to the direct-RAM region and trimmed
 // to the byte-precise watermark box at the extremes (so a lone store
 // costs its bytes, not its whole page). Ranges arrive in ascending
-// order. Without a bitmap the single clamped watermark box is reported.
-// This is the read side of the differential-restore path; it does not
-// clear the state (ResetStoreWatermark does).
+// order. This is the read side of the differential-restore path; it
+// does not clear the state (ResetStoreWatermark does).
 func (m *Machine) ForEachDirtyRange(fn func(lo, hi uint32)) {
 	if m.storeLo >= m.storeHi {
 		return
@@ -567,10 +544,6 @@ func (m *Machine) ForEachDirtyRange(fn func(lo, hi uint32)) {
 		whi = top
 	}
 	if wlo >= whi {
-		return
-	}
-	if m.dirty == nil {
-		fn(wlo, whi)
 		return
 	}
 	first := (wlo - base) >> DirtyPageShift
@@ -755,8 +728,8 @@ func (m *Machine) invalidateRange(lo, hi uint32) (hitCurrent bool) {
 }
 
 // CodeWrites returns the number of stores that hit translated code since
-// machine construction. The fault campaign compares it across a mutant
-// run to decide whether the translation cache survives a state restore.
+// machine construction. State rewinds compare it across a run to decide
+// whether the translation cache survives.
 func (m *Machine) CodeWrites() uint64 { return m.codeWrites }
 
 // EngineStats are the engine's lifetime performance counters, the

@@ -166,13 +166,6 @@ type Target struct {
 	// covering the image plus stack headroom, which keeps per-worker
 	// platforms and snapshots cheap.
 	RAMSize uint32
-
-	// NoDirtyPages disables page-granular dirty tracking on every
-	// campaign platform (emu.Machine.DisableDirtyPages), restoring the
-	// single-watermark rewind and validity behaviour — the baseline arm
-	// of the restore-cost ablation (bench E12) and the pages-on/off
-	// differential tests.
-	NoDirtyPages bool
 }
 
 func (t *Target) ramSize() uint32 {
@@ -200,9 +193,6 @@ func (t *Target) newPlatform() (*vp.Platform, error) {
 		return nil, err
 	}
 	p.Machine.Engine = t.Engine
-	// Before the load: the dirty-page bitmap is sized when the machine
-	// first touches RAM, which the program load does.
-	p.Machine.DisableDirtyPages = t.NoDirtyPages
 	if err := p.LoadProgram(t.Program); err != nil {
 		return nil, err
 	}
@@ -212,15 +202,15 @@ func (t *Target) newPlatform() (*vp.Platform, error) {
 // injector owns one reusable platform plus its post-load snapshot; each
 // campaign worker holds one, rewinding between mutants instead of
 // rebuilding the platform (the throughput mechanism of the campaign
-// runner). The rewind is RestoreReuse — zero RAM and re-copy the program
-// image rather than a full snapshot-RAM copy — and it keeps the
-// machine's translation cache across mutants whenever the previous run
-// left the code bytes untouched, so the block working set is translated
-// once per worker, not once per mutant. With a shared translation pool
-// attached (the campaign default), even that per-worker warmup — and
-// every re-warm after a code-mutating fault flushed the private cache —
-// is mostly eliminated: blocks are adopted from the golden run's
-// compiled pool, and only mutated ranges take private overlay compiles.
+// runner). The rewind is RestoreReuse — copy back only the RAM the
+// previous mutant dirtied — and it keeps the machine's translation cache
+// across mutants whenever the previous run left the code bytes
+// untouched, so the block working set is translated once per worker,
+// not once per mutant. With a shared translation pool attached (the
+// campaign default), even that per-worker warmup — and every re-warm
+// after a code-mutating fault flushed the private cache — is mostly
+// eliminated: blocks are adopted from the golden run's compiled pool,
+// and only mutated ranges take private overlay compiles.
 type injector struct {
 	t    *Target
 	p    *vp.Platform
@@ -229,11 +219,6 @@ type injector struct {
 	// lat observes interrupt-service latency when the target sets a
 	// LatencyBudget; nil otherwise (no hook overhead).
 	lat *latencyWatcher
-
-	// dirtyCode marks that the previous mutant corrupted bytes that may
-	// back cached translations (a fault flip, or a store into translated
-	// code), forcing a cache flush on the next rewind.
-	dirtyCode bool
 }
 
 // newInjector builds a worker injector; pool, when non-nil, is the
@@ -260,10 +245,6 @@ func (inj *injector) reset() {
 	inj.p.RestoreReuse(inj.base, inj.t.Program)
 	if inj.lat != nil {
 		inj.lat.reset()
-	}
-	if inj.dirtyCode {
-		inj.p.Machine.InvalidateTBs()
-		inj.dirtyCode = false
 	}
 }
 
@@ -310,18 +291,6 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 	t := inj.t
 	p := inj.p
 	inj.reset()
-	cw := p.Machine.CodeWrites()
-	defer func() {
-		// Translations made after a write into translated code (the flip
-		// below, or a wild store), or overlapping any pages the run wrote
-		// to RAM (a wild jump into freshly written data), do not match
-		// the pristine image the next reset restores; flush them then.
-		// The page-granular check means scattered data stores bracketing
-		// the code region no longer force a flush every mutant.
-		if p.Machine.CodeWrites() != cw || p.Machine.CodePagesDirty() {
-			inj.dirtyCode = true
-		}
-	}()
 	switch f.Model {
 	case MemPermanent, CodeBitflip:
 		ram := p.RAM.Bytes()
@@ -331,11 +300,11 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 		}
 		byteAddr := f.Addr + uint32(f.Bit/8)
 		ram[off+uint32(f.Bit/8)] ^= 1 << (f.Bit % 8)
-		// The flip bypasses the store path, so fold it into the
-		// watermark by hand for the next watermark-based restore.
+		// The flip bypasses the store path, so fold it into the dirty
+		// state by hand for the next rewind to restore.
 		p.Machine.NoteRAMWrite(byteAddr, 1)
 		// Drop only the translations overlapping the flipped byte; this
-		// also bumps CodeWrites, so the next reset flushes any blocks
+		// also bumps CodeWrites, so the next rewind flushes any blocks
 		// translated from the corrupted image.
 		p.Machine.InvalidateRange(byteAddr, byteAddr+1)
 	}

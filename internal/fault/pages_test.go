@@ -10,13 +10,13 @@ import (
 	"repro/internal/vp"
 )
 
-// TestCampaignDirtyPagesDifferential proves the page-granular restore is
+// TestCampaignDirtyPagesDifferential proves the dirty-page rewind is
 // architecturally invisible: for every engine, pool on and off, a
-// campaign with dirty-page tracking and one with the single-watermark
-// baseline (Target.NoDirtyPages) classify every mutant identically, bit
-// for bit. The mixed plan includes stuck-at faults, which run on the
-// Step engine inside the campaign, so all three execution paths cross the
-// differential.
+// campaign recycling one platform per worker classifies every mutant
+// exactly as Inject does on a fresh, never-rewound platform. The mixed
+// plan includes code bit flips (the rewind must drop translations of
+// the corrupted image) and stuck-at faults, which run on the Step
+// engine inside the campaign.
 func TestCampaignDirtyPagesDifferential(t *testing.T) {
 	tg, _ := target(t, "crc32")
 	g, err := fault.RunGolden(tg)
@@ -44,49 +44,38 @@ func TestCampaignDirtyPagesDifferential(t *testing.T) {
 		{"switch", emu.EngineSwitch},
 		{"superblock", emu.EngineSuperblock},
 	} {
+		etg := *tg
+		etg.Engine = eng.engine
+		fresh := make([]fault.Outcome, len(plan.Faults))
+		for i, f := range plan.Faults {
+			if fresh[i], err = fault.Inject(&etg, g, f); err != nil {
+				t.Fatalf("%s: mutant %d (%v): %v", eng.name, i, f, err)
+			}
+		}
 		for _, noPool := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/pool-%t", eng.name, !noPool), func(t *testing.T) {
-				run := func(noPages bool) (*fault.Results, *obs.Registry) {
-					etg := *tg
-					etg.Engine = eng.engine
-					etg.NoDirtyPages = noPages
-					reg := obs.NewRegistry()
-					res, err := fault.CampaignOpt(&etg, plan, fault.Options{
-						Workers:      2,
-						NoSharedPool: noPool,
-						Metrics:      reg,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, reg
+				reg := obs.NewRegistry()
+				res, err := fault.CampaignOpt(&etg, plan, fault.Options{
+					Workers:      2,
+					NoSharedPool: noPool,
+					Metrics:      reg,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				paged, preg := run(false)
-				baseline, breg := run(true)
-
-				if len(paged.Details) != len(baseline.Details) {
-					t.Fatalf("result sizes differ: %d vs %d", len(paged.Details), len(baseline.Details))
-				}
-				for i := range paged.Details {
-					if paged.Details[i] != baseline.Details[i] {
-						t.Errorf("mutant %d (%v): pages=%v watermark=%v",
-							i, plan.Faults[i], paged.Details[i], baseline.Details[i])
+				for i := range plan.Faults {
+					if res.Details[i] != fresh[i] {
+						t.Errorf("mutant %d (%v): rewound=%v fresh=%v",
+							i, plan.Faults[i], res.Details[i], fresh[i])
 					}
 				}
-
-				// Both arms restored once per mutant and accounted it.
-				// (Byte totals are NOT compared here: a worker's last
-				// mutant is never rewound, so which mutant escapes
-				// accounting depends on work distribution; the
-				// per-restore pages<=watermark ordering is asserted
-				// deterministically in internal/vp's scatter tests.)
-				pr := preg.Counter(vp.MetricRestores, "").Value()
-				br := breg.Counter(vp.MetricRestores, "").Value()
-				if pr == 0 || pr != br {
-					t.Fatalf("restores: pages=%d watermark=%d", pr, br)
+				// Every mutant ran after a rewind, and the rewinds were
+				// accounted.
+				if n := reg.Counter(vp.MetricRestores, "").Value(); n != uint64(len(plan.Faults)) {
+					t.Errorf("restores = %d, want %d", n, len(plan.Faults))
 				}
-				if preg.Counter(vp.MetricRestoreBytesTotal, "").Value() == 0 {
-					t.Error("paged campaign accounted no restore bytes")
+				if reg.Counter(vp.MetricRestoreBytesTotal, "").Value() == 0 {
+					t.Error("campaign accounted no restore bytes")
 				}
 			})
 		}

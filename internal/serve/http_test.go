@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,6 +139,25 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if code, _ := getJSON(t, ts.URL+"/v1/jobs/doesnotexist/result"); code != http.StatusNotFound {
 		t.Errorf("unknown result status %d, want 404", code)
+	}
+}
+
+// TestFaultPlanCaps: a fault spec whose plan or worker count exceeds the
+// per-request caps is a client error (400), rejected before any plan is
+// built — including counts whose sum would overflow.
+func TestFaultPlanCaps(t *testing.T) {
+	_, ts := httpServer(t, Config{Workers: 1})
+	for name, spec := range map[string]FaultSpec{
+		"total":    {GPRTransient: maxFaultMutants, CodeBitflip: 1},
+		"one":      {MemPermanent: maxFaultMutants + 1},
+		"negative": {GPRTransient: 10, GPRPermanent: -1},
+		"overflow": {GPRTransient: math.MaxInt, MemPermanent: math.MaxInt},
+		"workers":  {GPRTransient: 10, Workers: maxFaultWorkers + 1},
+	} {
+		resp, _ := postJob(t, ts, Request{Type: "fault", Source: src(t, "xtea"), Fault: &spec})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 

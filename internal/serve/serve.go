@@ -233,6 +233,33 @@ func New(cfg Config) *Server {
 // histograms).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
+// Per-request caps on a fault campaign, so one request cannot make the
+// server allocate an unbounded mutant plan or per-worker platform set.
+const (
+	maxFaultMutants = 1 << 20
+	maxFaultWorkers = 64
+)
+
+// checkPlanSize rejects a fault spec whose mutant counts are negative
+// or whose plan or worker count exceeds the caps. Each count is checked
+// before summing, so the sum cannot overflow.
+func checkPlanSize(f *FaultSpec) error {
+	total := 0
+	for _, n := range []int{f.GPRTransient, f.GPRPermanent, f.MemPermanent, f.CodeBitflip} {
+		if n < 0 || n > maxFaultMutants {
+			return fmt.Errorf("fault counts must be in [0, %d], got %d", maxFaultMutants, n)
+		}
+		total += n
+	}
+	if total > maxFaultMutants {
+		return fmt.Errorf("fault plan has %d mutants, the limit is %d", total, maxFaultMutants)
+	}
+	if f.Workers > maxFaultWorkers {
+		return fmt.Errorf("fault workers must be <= %d, got %d", maxFaultWorkers, f.Workers)
+	}
+	return nil
+}
+
 // buildJob validates a request into an executable job (not yet
 // accepted: the caller enqueues it under the server mutex).
 func (s *Server) buildJob(req Request) (*Job, error) {
@@ -289,6 +316,9 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 		}
 		if req.Fault.Shards < 0 {
 			return nil, fmt.Errorf("fault shards must be >= 0, got %d", req.Fault.Shards)
+		}
+		if err := checkPlanSize(req.Fault); err != nil {
+			return nil, err
 		}
 		if h := req.Fault.ISRHandler; h != "" {
 			if _, ok := prog.Symbols[h]; !ok {

@@ -46,8 +46,8 @@ var (
 )
 
 // AttachRestoreObs connects the platform's restore path to the registry:
-// every subsequent Restore/RestoreReuse observes its copied bytes and
-// differing pages into the MetricRestoreBytes / MetricRestorePages
+// every subsequent RestoreReuse observes its copied bytes and dirty
+// pages into the MetricRestoreBytes / MetricRestorePages
 // histograms. Totals are still accumulated locally and folded in by
 // RecordStats, so attaching is optional (fault-campaign workers attach;
 // one-shot runs usually do not). A nil registry detaches.
@@ -71,7 +71,7 @@ func (p *Platform) noteRestore(nbytes, pages uint64) {
 
 // RestoreStats reports the platform's lifetime restore accounting.
 type RestoreStats struct {
-	Restores     uint64 // Restore + RestoreReuse calls
+	Restores     uint64 // RestoreReuse calls
 	RestoreBytes uint64 // RAM bytes actually copied across them
 	RestorePages uint64 // dirty pages those bytes spanned
 }
@@ -113,7 +113,7 @@ func (p *Platform) RecordStats(r *obs.Registry) {
 	r.Counter(MetricInsts, "instructions retired").Add(p.Machine.Hart.Instret)
 	r.Counter(MetricCycles, "modelled cycles").Add(p.Machine.Hart.Cycle)
 
-	r.Counter(MetricRestores, "platform rewinds (Restore + RestoreReuse)").Add(p.restores)
+	r.Counter(MetricRestores, "platform rewinds (RestoreReuse)").Add(p.restores)
 	r.Counter(MetricRestoreBytesTotal, "RAM bytes copied by platform rewinds").Add(p.restoreBytes)
 	r.Counter(MetricRestorePagesTotal, "dirty pages copied by platform rewinds").Add(p.restorePages)
 

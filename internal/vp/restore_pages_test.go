@@ -22,13 +22,12 @@ buf:
 	.word 0
 `
 
-func loadScatter(t *testing.T, disablePages bool) (*vp.Platform, *asm.Program) {
+func loadScatter(t *testing.T) (*vp.Platform, *asm.Program) {
 	t.Helper()
 	p, err := vp.New(vp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Machine.DisableDirtyPages = disablePages
 	prog, err := p.LoadSource(vp.Prelude + scatterSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func runScatter(t *testing.T, p *vp.Platform) {
 // not the watermark span — and still returns RAM to the exact post-load
 // image.
 func TestRestoreReuseScatteredStores(t *testing.T) {
-	p, prog := loadScatter(t, false)
+	p, prog := loadScatter(t)
 	base := p.Snapshot()
 	pristine := append([]byte(nil), p.RAM.Bytes()...)
 
@@ -87,55 +86,24 @@ func TestRestoreReuseScatteredStores(t *testing.T) {
 // the next RestoreReuse erases it instead of leaking it into the next
 // run's initial state.
 func TestRestoreReuseHostWriteLeak(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		disablePages bool
-	}{
-		{"pages", false},
-		{"watermark-fallback", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p, prog := loadScatter(t, tc.disablePages)
-			base := p.Snapshot()
-			pristine := append([]byte(nil), p.RAM.Bytes()...)
+	t.Run("pages", func(t *testing.T) {
+		p, prog := loadScatter(t)
+		base := p.Snapshot()
+		pristine := append([]byte(nil), p.RAM.Bytes()...)
 
-			runScatter(t, p)
-			p.RestoreReuse(base, prog)
+		runScatter(t, p)
+		p.RestoreReuse(base, prog)
 
-			// Host write into the middle of RAM, far from anything the
-			// guest touched — exactly where a watermark-only audit gap
-			// would leak.
-			mid := uint32(vp.RAMBase + 2<<20)
-			if err := p.Machine.Bus.WriteBytes(mid, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
-				t.Fatal(err)
-			}
-			p.RestoreReuse(base, prog)
-			if !bytes.Equal(p.RAM.Bytes(), pristine) {
-				t.Fatal("host WriteBytes between mutants leaked through RestoreReuse")
-			}
-		})
-	}
-}
-
-// TestRestoreReuseWatermarkFallbackIdentical: the DisableDirtyPages arm
-// (the E12 baseline) must restore the same state, just with more
-// copying.
-func TestRestoreReuseWatermarkFallbackIdentical(t *testing.T) {
-	pages, progP := loadScatter(t, false)
-	wm, progW := loadScatter(t, true)
-	baseP, baseW := pages.Snapshot(), wm.Snapshot()
-
-	runScatter(t, pages)
-	runScatter(t, wm)
-	pages.RestoreReuse(baseP, progP)
-	wm.RestoreReuse(baseW, progW)
-
-	if !bytes.Equal(pages.RAM.Bytes(), wm.RAM.Bytes()) {
-		t.Fatal("pages and watermark-fallback restores disagree on RAM state")
-	}
-	sp, sw := pages.RestoreStats(), wm.RestoreStats()
-	if sw.RestoreBytes < 5*sp.RestoreBytes {
-		t.Errorf("fallback copied %d bytes vs pages %d; expected >= 5x more on scatter",
-			sw.RestoreBytes, sp.RestoreBytes)
-	}
+		// Host write into the middle of RAM, far from anything the guest
+		// touched: only the bus write notification can bring it into the
+		// dirty state.
+		mid := uint32(vp.RAMBase + 2<<20)
+		if err := p.Machine.Bus.WriteBytes(mid, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+			t.Fatal(err)
+		}
+		p.RestoreReuse(base, prog)
+		if !bytes.Equal(p.RAM.Bytes(), pristine) {
+			t.Fatal("host WriteBytes between mutants leaked through RestoreReuse")
+		}
+	})
 }

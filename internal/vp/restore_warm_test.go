@@ -8,16 +8,17 @@ import (
 	"repro/internal/vp"
 )
 
-// TestRestoreKeepsWarmTranslations: a full Restore whose RAM diff does
-// not touch translated code must keep the translation cache — the warm
+// TestRestoreKeepsWarmTranslations: a rewind whose dirty state does not
+// touch translated code must keep the translation cache — the warm
 // rewind the snapshot/restore campaign pattern relies on.
 func TestRestoreKeepsWarmTranslations(t *testing.T) {
 	p, err := vp.New(vp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The program dirties data directly after the code (buf) — byte-precise
-	// diffing must not drag the adjacent code into the invalidation range.
+	// The program dirties data directly after the code (buf), on the
+	// code's own dirty page — the byte-precise store watermark must keep
+	// the adjacent code out of the flush decision.
 	src := `
 	la a1, buf
 	li a2, 77
@@ -26,7 +27,8 @@ func TestRestoreKeepsWarmTranslations(t *testing.T) {
 	ebreak
 buf:	.word 0
 `
-	if _, err := p.LoadSource(src); err != nil {
+	prog, err := p.LoadSource(src)
+	if err != nil {
 		t.Fatal(err)
 	}
 	base := p.Snapshot()
@@ -39,7 +41,7 @@ buf:	.word 0
 	}
 	compiled := p.Machine.Stats().TBsCompiled
 
-	p.Restore(base)
+	p.RestoreReuse(base, prog)
 	if got := p.Machine.CachedBlocks(); got != warm {
 		t.Errorf("restore dropped translations: %d cached, want %d", got, warm)
 	}
@@ -54,24 +56,27 @@ buf:	.word 0
 	}
 }
 
-// TestRestoreInvalidatesStaleCode: when the restore changes bytes under
+// TestRestoreInvalidatesStaleCode: when the rewind changes bytes under
 // translated blocks (the cached code differs from the snapshot image),
-// the overlapping translations must be dropped, or the machine would
-// execute stale code after the rewind.
+// the rewind itself must drop the translations, or the machine would
+// execute stale code after it.
 func TestRestoreInvalidatesStaleCode(t *testing.T) {
 	p, err := vp.New(vp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.LoadSource("\tli a0, 5\n\tebreak\n"); err != nil {
+	prog, err := p.LoadSource("\tli a0, 5\n\tebreak\n")
+	if err != nil {
 		t.Fatal(err)
 	}
 	base := p.Snapshot() // image: li a0, 5
 
 	// Host-patch the immediate to 9 and run, so the cache holds blocks
-	// compiled from the patched image.
+	// compiled from the patched image. A raw RAM write must be reported
+	// to the dirty-state tracking (the RestoreReuse contract).
 	ram := p.RAM.Bytes()
 	ram[2] = 0x90 // addi a0,x0,5 (0x00500513) -> addi a0,x0,9
+	p.Machine.NoteRAMWrite(vp.RAMBase+2, 1)
 	p.Machine.InvalidateTBs()
 	if stop := p.Run(1000); stop.Reason != emu.StopEbreak {
 		t.Fatalf("patched run: %v", stop)
@@ -82,11 +87,62 @@ func TestRestoreInvalidatesStaleCode(t *testing.T) {
 
 	// Restoring the original image changes bytes under the cached block:
 	// the block must go, and the rerun must show the original behaviour.
-	p.Restore(base)
+	p.RestoreReuse(base, prog)
 	if stop := p.Run(1000); stop.Reason != emu.StopEbreak {
 		t.Fatalf("restored run: %v", stop)
 	}
 	if got := p.Machine.Hart.Reg(isa.A0); got != 5 {
 		t.Errorf("restored run a0 = %d, want 5 (stale translation survived restore)", got)
+	}
+}
+
+// smcSrc calls f, patches f's first instruction from "addi s0, s0, 1"
+// to "addi s0, s0, 64", and calls f again: s0 = 65 on a pristine image.
+const smcSrc = `
+	li s0, 0
+	call f
+	la t0, f
+	la t1, patch
+	lw t2, 0(t1)
+	sw t2, 0(t0)
+	call f
+	ebreak
+	.align 2
+f:
+	addi s0, s0, 1
+	ret
+patch:
+	addi s0, s0, 64
+`
+
+// TestRestoreReuseSelfModifyingGuest: a guest that patches its own code
+// must replay identically after every rewind, on every engine. The
+// rewind restores f's original bytes, so the translation of the patched
+// f cached by the previous run must not survive it.
+func TestRestoreReuseSelfModifyingGuest(t *testing.T) {
+	for _, engine := range emu.Engines() {
+		t.Run(engine.String(), func(t *testing.T) {
+			p, err := vp.New(vp.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Machine.Engine = engine
+			prog, err := p.LoadSource(smcSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := p.Snapshot()
+			for run := 0; run < 3; run++ {
+				if run > 0 {
+					p.RestoreReuse(base, prog)
+				}
+				if stop := p.Run(1000); stop.Reason != emu.StopEbreak {
+					t.Fatalf("run %d: %v", run, stop)
+				}
+				if got := p.Machine.Hart.Reg(isa.S0); got != 65 {
+					t.Errorf("run %d: s0 = %d, want 65 (stale translation of the patched code)", run, got)
+				}
+			}
+		})
 	}
 }

@@ -25,7 +25,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		ebreak
 buf:	.word 0
 	`
-	if _, err := p.LoadSource(src); err != nil {
+	prog, err := p.LoadSource(src)
+	if err != nil {
 		t.Fatal(err)
 	}
 	base := p.Snapshot()
@@ -37,7 +38,7 @@ buf:	.word 0
 		t.Fatalf("first run state: out=%q s0=%d", p.Output(), p.Machine.Hart.Reg(isa.S0))
 	}
 
-	p.Restore(base)
+	p.RestoreReuse(base, prog)
 	if p.Output() != "" {
 		t.Error("UART output not rewound")
 	}
@@ -79,7 +80,7 @@ buf:	.word 0
 	if err != nil || data[0] != 1 {
 		t.Fatalf("store missing: %v % x", err, data)
 	}
-	p.Restore(snap)
+	p.RestoreReuse(snap, prog)
 	data, err = p.Machine.Bus.ReadBytes(buf, 4)
 	if err != nil || data[0] != 0 {
 		t.Errorf("RAM not rewound: % x", data)
@@ -88,17 +89,20 @@ buf:	.word 0
 
 func TestSnapshotRewindsStopState(t *testing.T) {
 	p, _ := vp.New(vp.Config{})
-	p.LoadSource(vp.Prelude + `
+	prog, err := p.LoadSource(vp.Prelude + `
 		li a0, 3
 		li t6, SYSCON_EXIT
 		sw a0, 0(t6)
 1:	j 1b
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := p.Snapshot()
 	if stop := p.Run(1000); stop.Reason != emu.StopExit || stop.Code != 3 {
 		t.Fatalf("first run: %v", stop)
 	}
-	p.Restore(snap)
+	p.RestoreReuse(snap, prog)
 	if stop := p.Run(1000); stop.Reason != emu.StopExit || stop.Code != 3 {
 		t.Errorf("restored run: %v", stop)
 	}

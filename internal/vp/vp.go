@@ -5,7 +5,6 @@
 package vp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -62,6 +61,10 @@ type Platform struct {
 	restores     uint64
 	restoreBytes uint64
 	restorePages uint64
+
+	// rewindCodeWrites is Machine.CodeWrites as of the last rewind, so
+	// RestoreReuse can tell whether the run since wrote translated code.
+	rewindCodeWrites uint64
 
 	// Per-restore distributions, attached via AttachRestoreObs; nil
 	// until then (and obs instruments are nil-safe anyway).
@@ -279,124 +282,26 @@ func (p *Platform) Snapshot() *Snapshot {
 	}
 }
 
-// Restore rewinds the platform to a snapshot. The RAM copy is diffed
-// against current memory as it happens: when the restore does not change
-// any byte under a translated block, the translation cache is kept warm;
-// otherwise only the blocks overlapping the changed range are dropped.
-// Inside the byte-precise diff span, unchanged pages are skipped, so a
-// sparse divergence from the snapshot copies pages, not the whole span.
-// The changed range is also folded into the machine's dirty-state
-// tracking, so its consumers (RestoreReuse's differential copy,
-// shared-pool validity) stay sound across a full restore. The modelled
-// I-cache is always flushed so cycle counts never depend on what ran
-// before.
-func (p *Platform) Restore(s *Snapshot) {
-	p.Machine.Hart.Restore(s.hart)
-	ram := p.RAM.Bytes()
-	lo, hi := diffRange(ram, s.ram)
-	var nbytes, pages uint64
-	if lo < hi {
-		nbytes, pages = copyDirtyPages(ram, s.ram, lo, hi)
-		aLo, aHi := RAMBase+lo, RAMBase+hi
-		p.Machine.NoteRAMWriteRange(aLo, aHi)
-		if cLo, cHi := p.Machine.CodeRange(); aLo < cHi && aHi > cLo {
-			p.Machine.InvalidateRange(aLo, aHi)
-		}
-	}
-	p.noteRestore(nbytes, pages)
-	p.Machine.FlushICache()
-	p.UART.Restore(s.uart)
-	p.Clint.Restore(s.clint)
-	p.Sensor.SetPos(s.sensor)
-	p.DMA.Restore(s.dma)
-	p.Plic.Restore(s.plic)
-	p.Machine.ClearStop()
-}
-
-// copyDirtyPages copies src into dst over [lo, hi), skipping the
-// dirty-page-sized chunks that already match — the per-page refinement
-// of the byte-precise diff span: the span bounds what can differ, the
-// page compare avoids copying the clean middle. Chunks are aligned to
-// page boundaries so repeated restores touch stable ranges. Returns the
-// bytes copied and the number of differing pages.
-func copyDirtyPages(dst, src []byte, lo, hi uint32) (bytesCopied, pages uint64) {
-	for off := lo; off < hi; {
-		end := (off &^ (emu.DirtyPageSize - 1)) + emu.DirtyPageSize
-		if end > hi {
-			end = hi
-		}
-		if !bytes.Equal(dst[off:end], src[off:end]) {
-			copy(dst[off:end], src[off:end])
-			bytesCopied += uint64(end - off)
-			pages++
-		}
-		off = end
-	}
-	return bytesCopied, pages
-}
-
-// diffRange returns the exact range [lo, hi) spanning every byte where
-// a and b differ; lo >= hi means the slices are equal. The scan is
-// chunked (memcmp speed) with byte-precise trimming of the boundary
-// chunks, so a dirty data word sitting right next to unchanged code
-// does not drag the code into the range.
-func diffRange(a, b []byte) (lo, hi uint32) {
-	const chunk = 4096
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	first := -1
-	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
-		if !bytes.Equal(a[off:end], b[off:end]) {
-			first = off
-			for a[first] == b[first] {
-				first++
-			}
-			break
-		}
-	}
-	if first < 0 {
-		return 1, 0
-	}
-	last := first + 1
-	for off := n; off > first; off -= chunk {
-		start := off - chunk
-		if start < first {
-			start = first
-		}
-		if !bytes.Equal(a[start:off], b[start:off]) {
-			last = off
-			for a[last-1] == b[last-1] {
-				last--
-			}
-			break
-		}
-	}
-	return uint32(first), uint32(last)
-}
-
-// RestoreReuse rewinds the platform to a post-load snapshot of prog
-// without copying the snapshot's full RAM image: only the dirty ranges
-// the machine tracked since the last rewind — runs of dirty pages,
-// trimmed byte-precisely to the store-watermark box at the extremes —
-// are copied back from the snapshot, and hart/device state is restored.
-// A scattered run (one store at the top of RAM, one at the bottom)
-// therefore costs two pages of copying, not the watermark span; without
-// the page bitmap (emu.Machine.DisableDirtyPages) the single watermark
-// span is copied, the pre-bitmap baseline. s must have been taken
-// immediately after loading prog (the fault campaign's base snapshot),
-// and every RAM write since must be visible to the dirty-state tracking
-// — guest stores are, bus-level host writes arrive via the write
-// notification, and raw writes into RAM.Bytes() need
-// Machine.NoteRAMWrite. Because the code bytes come back bit-identical,
-// the machine's translation cache is kept — callers that dirtied
-// translated code during the run must call InvalidateTBs themselves
-// (see Machine.CodeWrites). The dirty-state reset below also
+// RestoreReuse rewinds the platform to a post-load snapshot of prog —
+// the one platform rewind. Only the dirty ranges the machine tracked
+// since the last rewind are copied back from the snapshot: runs of
+// dirty pages, trimmed byte-precisely to the store-watermark box at the
+// extremes, so a scattered run (one store at the top of RAM, one at the
+// bottom) costs two pages of copying, not the span between them.
+// Hart and device state are restored in full.
+//
+// s must have been taken immediately after loading prog (the fault
+// campaign's base snapshot), and every RAM write since must be visible
+// to the dirty-state tracking — guest stores are, bus-level host writes
+// arrive via the write notification, and raw writes into RAM.Bytes()
+// need Machine.NoteRAMWrite.
+//
+// The rewind also decides which translations survive: they are kept
+// (the warm cache is what makes recycling a platform pay) unless a store
+// hit translated code since the previous rewind (Machine.CodeWrites) or
+// a translated block overlaps RAM dirtied since then
+// (Machine.CodePagesDirty) — then the cache may hold code compiled from
+// bytes the rewind replaces, and it is flushed. The dirty-state reset below also
 // re-certifies an attached shared translation pool (emu.TBPool): pool
 // validity is defined as "block bytes untouched since the last pristine
 // rewind", and this is that rewind. prog identifies the image the
@@ -404,6 +309,10 @@ func diffRange(a, b []byte) (lo, hi uint32) {
 // itself.
 func (p *Platform) RestoreReuse(s *Snapshot, prog *asm.Program) {
 	_ = prog
+	if cw := p.Machine.CodeWrites(); cw != p.rewindCodeWrites || p.Machine.CodePagesDirty() {
+		p.Machine.InvalidateTBs()
+		p.rewindCodeWrites = cw
+	}
 	p.Machine.Hart.Restore(s.hart)
 	ram := p.RAM.Bytes()
 	var nbytes, pages uint64

@@ -11,14 +11,15 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := p.LoadSource("li a0, 1\nebreak\n"); err != nil {
+	prog, err := p.LoadSource("li a0, 1\nebreak\n")
+	if err != nil {
 		b.Fatal(err)
 	}
 	snap := p.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Restore(snap)
+		p.RestoreReuse(snap, prog)
 	}
 }
 

@@ -311,7 +311,7 @@ func TestToolchainEndToEnd(t *testing.T) {
 			{"s4e-run", []string{src}, 136 & 0x7f},
 			{"s4e-fault", []string{"-gpr", "5", "-mem", "1", "-code", "1", src}, 0},
 			{"s4e-bench", []string{"-o", filepath.Join(work, "prof-bench.json"), "-reps", "1",
-				"-workloads", "xtea", "-campaign-workload", "", "-restore-mutants", "0",
+				"-workloads", "xtea", "-campaign-workload", "",
 				"-service-jobs", "0", "-irq-samples", "0"}, 0},
 		} {
 			prof := filepath.Join(work, c.tool+".cpu")
