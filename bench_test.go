@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -227,21 +228,27 @@ func BenchmarkE7_BMI(b *testing.B) {
 }
 
 // BenchmarkE8_MIPS measures raw emulation speed across the engine axis:
-// the compiled superblock engine and the interpreter-switch engine. One
-// platform is built per sub-benchmark and rewound between iterations
-// with RestoreReuse, so the timed loop holds emulation only — not
-// assembly or RAM allocation.
+// the compiled superblock engine and the interpreter-switch engine, on
+// the representative kernels plus the interrupt-driven demonstrators,
+// so both kinds of interrupt poll — the skipped one and the full one a
+// due device event forces — are timed. One platform is built per
+// sub-benchmark and rewound between iterations with RestoreReuse, so
+// the timed loop holds emulation only — not assembly or RAM allocation.
 func BenchmarkE8_MIPS(b *testing.B) {
+	names := slices.Clone(benchWorkloads)
+	for _, w := range workloads.Interrupt() {
+		names = append(names, w.Name)
+	}
 	for _, engine := range emu.Engines() {
 		b.Run(engine.String(), func(b *testing.B) {
-			for _, name := range benchWorkloads {
+			for _, name := range names {
 				w := getWorkload(b, name)
 				b.Run(name, func(b *testing.B) {
 					prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
 					if err != nil {
 						b.Fatal(err)
 					}
-					p, err := vp.New(vp.Config{Sensor: w.Sensor})
+					p, err := vp.New(vp.Config{Sensor: w.Sensor, Stream: w.Stream, UARTIn: w.UARTIn})
 					if err != nil {
 						b.Fatal(err)
 					}

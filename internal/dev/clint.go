@@ -18,6 +18,10 @@ const (
 // the emulator's cycle count, an mtimecmp compare register, and an msip
 // software-interrupt bit.
 type CLINT struct {
+	// Epoch, when non-nil, is advanced by every store, Restore and
+	// Advance: each can move mtimecmp, msip or mtime.
+	Epoch *Epoch
+
 	mtime    uint64
 	mtimecmp uint64
 	msip     bool
@@ -41,12 +45,18 @@ func (c *CLINT) Snapshot() CLINTState {
 // Restore replaces the CLINT state with a snapshot.
 func (c *CLINT) Restore(s CLINTState) {
 	c.mtime, c.mtimecmp, c.msip = s.Mtime, s.Mtimecmp, s.Msip
+	c.Epoch.bump()
 }
 
 // Advance moves mtime forward by the given number of ticks.
-func (c *CLINT) Advance(ticks uint64) { c.mtime += ticks }
+func (c *CLINT) Advance(ticks uint64) {
+	c.mtime += ticks
+	c.Epoch.bump()
+}
 
-// SetTime sets mtime directly (the emulator syncs it to mcycle).
+// SetTime sets mtime directly (the emulator syncs it to mcycle at every
+// interrupt poll point). It does not advance the epoch: the machine
+// tracks the timer through NextTimerEvent instead.
 func (c *CLINT) SetTime(t uint64) { c.mtime = t }
 
 // Time returns the current mtime.
@@ -90,6 +100,7 @@ func (c *CLINT) Load(off uint32, size uint8) (uint32, error) {
 
 // Store implements mem.Device.
 func (c *CLINT) Store(off uint32, size uint8, val uint32) error {
+	c.Epoch.bump()
 	switch off {
 	case CLINTMsip:
 		c.msip = val&1 != 0

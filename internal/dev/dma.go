@@ -68,6 +68,11 @@ type DMAStream struct {
 	// store, so the value read at kick time is engine-independent.
 	Now func() uint64
 
+	// Epoch, when non-nil, is advanced by every store, Restore and the
+	// completion in Tick: each can change the completion line or the
+	// next completion cycle (NextEvent).
+	Epoch *Epoch
+
 	samples []int16
 	pos     int
 
@@ -103,8 +108,9 @@ func (d *DMAStream) AssertCycle() uint64 { return d.assertAt }
 
 // Tick advances the engine to the given cycle: an in-flight transfer
 // whose completion time has passed performs its copy and raises the
-// completion IRQ. The platform calls this from the PLIC's line
-// callback, so it runs at every interrupt poll point.
+// completion IRQ. The platform calls it from every full interrupt poll;
+// the machine polls fully at the first boundary at or past NextEvent,
+// so a late Tick completes the transfer exactly as a punctual one.
 func (d *DMAStream) Tick(cycle uint64) {
 	if !d.busy || cycle < d.doneAt {
 		return
@@ -113,7 +119,12 @@ func (d *DMAStream) Tick(cycle uint64) {
 	d.complete()
 	d.irq = true
 	d.assertAt = d.doneAt
+	d.Epoch.bump()
 }
+
+// NextEvent returns the completion cycle of the in-flight transfer, and
+// ok=false while the engine is idle.
+func (d *DMAStream) NextEvent() (uint64, bool) { return d.doneAt, d.busy }
 
 // complete processes the descriptor at head: copy samples, write the
 // done flag back, advance head. A bus error (descriptor or destination
@@ -208,6 +219,7 @@ func (d *DMAStream) Restore(s DMAState) {
 	d.busy, d.irq = s.Busy, s.IRQ
 	d.doneAt, d.assertAt = s.DoneAt, s.AssertAt
 	d.pos, d.faulted = s.Pos, s.Faulted
+	d.Epoch.bump()
 }
 
 // Load implements mem.Device.
@@ -238,6 +250,7 @@ func (d *DMAStream) Load(off uint32, size uint8) (uint32, error) {
 
 // Store implements mem.Device.
 func (d *DMAStream) Store(off uint32, size uint8, val uint32) error {
+	d.Epoch.bump()
 	switch off {
 	case DMARing:
 		d.ring = val

@@ -35,9 +35,14 @@ const (
 // and every Pending query, so an ISR that clears its device's interrupt
 // condition immediately stops seeing the line in PLICClaim — real
 // level-triggered semantics. Device state itself only changes at
-// interrupt poll points (the platform ticks devices from the machine's
-// poll) and at guest MMIO stores, both of which the engines replicate
-// exactly, keeping the sampled levels engine-independent.
+// guest MMIO accesses, host calls and full interrupt polls (the
+// platform ticks devices from the machine's poll), all of which the
+// engines replicate exactly, keeping the sampled levels
+// engine-independent. Each such change advances the shared Epoch, so
+// the machine queries Pending only at a full poll: when the epoch moved,
+// when a device event (NextEvent, the CLINT timer) fell due, or when
+// mip or the cycle counter changed behind its back. Any other poll
+// would sample the same levels and is skipped.
 //
 // Line 3 is an edge-triggered test line the host arms with TriggerAt:
 // it lets co-simulation harnesses assert an interrupt at an exact,
@@ -45,6 +50,11 @@ const (
 // pending at the first Tick at or past the scheduled cycle and clears
 // when claimed.
 type PLIC struct {
+	// Epoch, when non-nil, is advanced by every store, Restore,
+	// TriggerAt, the test-line latch in Tick and a claim of the test
+	// line.
+	Epoch *Epoch
+
 	enable  uint32
 	sources [plicLines]func() bool // live level callbacks, may be nil
 
@@ -71,6 +81,7 @@ func (p *PLIC) TriggerAt(at uint64) {
 	p.trigArmed = true
 	p.trigAt = at
 	p.trigPending = false
+	p.Epoch.bump()
 }
 
 // TriggerCycle returns the cycle the test line was (or will be)
@@ -83,13 +94,19 @@ func (p *PLIC) TriggerCycle() (uint64, bool) {
 }
 
 // Tick latches the test line at the given cycle. The platform calls it
-// from every interrupt poll point.
+// from every full interrupt poll; the machine polls fully at the first
+// boundary at or past NextEvent.
 func (p *PLIC) Tick(cycle uint64) {
 	if p.trigArmed && cycle >= p.trigAt {
 		p.trigArmed = false
 		p.trigPending = true
+		p.Epoch.bump()
 	}
 }
+
+// NextEvent returns the cycle the armed test line latches at, and
+// ok=false while it is not armed.
+func (p *PLIC) NextEvent() (uint64, bool) { return p.trigAt, p.trigArmed }
 
 // sample reads the current line levels.
 func (p *PLIC) sample() uint32 {
@@ -135,6 +152,7 @@ func (p *PLIC) Restore(s PLICState) {
 	p.trigArmed = s.TrigArmed
 	p.trigAt = s.TrigAt
 	p.trigPending = s.TrigPending
+	p.Epoch.bump()
 }
 
 // Load implements mem.Device.
@@ -151,6 +169,7 @@ func (p *PLIC) Load(off uint32, size uint8) (uint32, error) {
 				if i == PLICLineTest {
 					// Edge line: the claim is the acknowledgement.
 					p.trigPending = false
+					p.Epoch.bump()
 				}
 				return uint32(i), nil
 			}
@@ -162,6 +181,7 @@ func (p *PLIC) Load(off uint32, size uint8) (uint32, error) {
 
 // Store implements mem.Device.
 func (p *PLIC) Store(off uint32, size uint8, val uint32) error {
+	p.Epoch.bump()
 	switch off {
 	case PLICEnable:
 		p.enable = val & (1<<plicLines - 1) &^ 1

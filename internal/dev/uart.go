@@ -22,6 +22,11 @@ const (
 // io.Writer (and are also retained for inspection); received bytes come
 // from a caller-provided queue.
 type UART struct {
+	// Epoch, when non-nil, is advanced wherever the receive queue can
+	// change — the level of the UART's PLIC line: Feed, Restore and a
+	// pop of UARTRxData. Transmits and status reads leave it alone.
+	Epoch *Epoch
+
 	out io.Writer
 	tx  bytes.Buffer
 	rx  []byte
@@ -35,7 +40,10 @@ func NewUART(out io.Writer) *UART { return &UART{out: out} }
 func (u *UART) Output() string { return u.tx.String() }
 
 // Feed appends bytes to the receive queue.
-func (u *UART) Feed(data []byte) { u.rx = append(u.rx, data...) }
+func (u *UART) Feed(data []byte) {
+	u.rx = append(u.rx, data...)
+	u.Epoch.bump()
+}
 
 // RxAvail reports whether the receive queue is non-empty — the level of
 // the UART's PLIC interrupt line.
@@ -60,6 +68,7 @@ func (u *UART) Restore(s UARTState) {
 	u.tx.Reset()
 	u.tx.WriteString(s.TX)
 	u.rx = append(u.rx[:0], s.RX...)
+	u.Epoch.bump()
 }
 
 // Load implements mem.Device.
@@ -73,6 +82,7 @@ func (u *UART) Load(off uint32, size uint8) (uint32, error) {
 		}
 		b := u.rx[0]
 		u.rx = u.rx[1:]
+		u.Epoch.bump()
 		return uint32(b), nil
 	case UARTStatus:
 		st := uint32(1) // tx always ready

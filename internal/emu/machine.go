@@ -215,10 +215,31 @@ type Machine struct {
 
 	// Ext, when non-nil, drives the machine-external interrupt (MEIP)
 	// from a platform interrupt controller: it is ticked with the cycle
-	// counter at every interrupt poll point and its pending state is
+	// counter at every full interrupt poll and its pending state is
 	// mirrored into mip. Both engines share the poll points, so
 	// external-interrupt delivery is engine-independent by construction.
 	Ext ExtIRQ
+
+	// Epoch, when non-nil, is the interrupt epoch the devices behind
+	// Clint and Ext advance whenever an interrupt input or a next event
+	// can change (dev.Epoch). It lets a poll point skip the full poll —
+	// ticking Ext, sampling its level, mirroring the CLINT into mip —
+	// when the outcome is already known: the epoch is unchanged since
+	// the last full poll, the cycle counter has neither passed the
+	// earliest device event (Ext.NextEvent, the CLINT timer) nor gone
+	// backwards, and mip still holds the value that poll left. A
+	// skipped poll still syncs mtime and still takes a deliverable
+	// interrupt, so mstatus, mie, mret and traps need no hook. Without
+	// an epoch every poll is a full poll.
+	Epoch *dev.Epoch
+
+	// The last full interrupt poll: the epoch and mip it left, the cycle
+	// it ran at, and pollSpan, the cycles from there to the earliest
+	// device event. pollSpan 0 forces the next poll to be full.
+	polledEpoch dev.Epoch
+	polledMip   uint32
+	polledCycle uint64
+	pollSpan    uint64
 
 	// Hooks is the plugin registry.
 	Hooks plugin.Hooks
@@ -782,6 +803,10 @@ type EngineStats struct {
 	// TracePoolHits counts traces adopted from the attached pool's
 	// frozen-superblock tier instead of being re-formed privately.
 	TracePoolHits uint64
+	// FullPolls counts interrupt polls that asked the devices (see
+	// Machine.Epoch); a program that touches no interrupt source pays
+	// one, at its first block boundary.
+	FullPolls uint64
 }
 
 // TraceSideExitRate returns side exits / trace entries, or 0 with no
@@ -831,6 +856,7 @@ func (s *EngineStats) Add(other EngineStats) {
 	s.TraceSideExits += other.TraceSideExits
 	s.TracesInvalidated += other.TracesInvalidated
 	s.TracePoolHits += other.TracePoolHits
+	s.FullPolls += other.FullPolls
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -959,22 +985,53 @@ func (m *Machine) lookupTB(pc uint32) *tb {
 }
 
 // ExtIRQ is an external interrupt source (the PLIC): Tick advances it
-// to the hart's cycle and Pending reports the MEIP level.
+// to the hart's cycle, Pending reports the MEIP level and NextEvent the
+// earliest cycle at which a Tick would change its state (ok=false if
+// none is scheduled).
 type ExtIRQ interface {
 	Tick(cycle uint64)
 	Pending() bool
+	NextEvent() (uint64, bool)
 }
 
-// pollInterrupts syncs interrupt sources into mip and takes a pending
-// interrupt if one is deliverable.
+// pollInterrupts is the interrupt poll point: it syncs interrupt sources
+// into mip and takes a pending interrupt if one is deliverable. The
+// devices are asked only when the last full poll no longer holds (the
+// skip rule of Machine.Epoch). The unsigned difference rejects both a
+// cycle counter at or past the earliest device event and one that went
+// backwards; a non-empty window exists only with an epoch and a CLINT
+// wired (fullPoll).
 func (m *Machine) pollInterrupts() {
 	h := &m.Hart
+	if h.Cycle-m.polledCycle < m.pollSpan && *m.Epoch == m.polledEpoch && h.Mip == m.polledMip {
+		m.Clint.SetTime(h.Cycle)
+	} else {
+		m.fullPoll()
+	}
+	if h.Mip&h.Mie == 0 {
+		return // the usual case, settled without PendingInterrupt
+	}
+	if cause, ok := h.PendingInterrupt(); ok {
+		m.trap(cause|1<<31, 0, h.PC)
+	}
+}
+
+// fullPoll ticks the devices to the current cycle, mirrors their levels
+// into mip and records what the skip rule needs: the epoch, mip, cycle
+// and the distance to the earliest scheduled device event.
+func (m *Machine) fullPoll() {
+	h := &m.Hart
+	m.stats.FullPolls++
+	next := ^uint64(0)
 	if m.Ext != nil {
 		m.Ext.Tick(h.Cycle)
 		if m.Ext.Pending() {
 			h.Mip |= 1 << isa.IntMachineExternal
 		} else {
 			h.Mip &^= 1 << isa.IntMachineExternal
+		}
+		if at, ok := m.Ext.NextEvent(); ok {
+			next = min(next, at)
 		}
 	}
 	if m.Clint != nil {
@@ -989,9 +1046,16 @@ func (m *Machine) pollInterrupts() {
 		} else {
 			h.Mip &^= 1 << isa.IntMachineSoftware
 		}
+		if at, ok := m.Clint.NextTimerEvent(); ok {
+			next = min(next, at)
+		}
 	}
-	if cause, ok := h.PendingInterrupt(); ok {
-		m.trap(cause|1<<31, 0, h.PC)
+	m.polledMip, m.polledCycle, m.pollSpan = h.Mip, h.Cycle, 0
+	if m.Epoch != nil && m.Clint != nil && next > h.Cycle {
+		// The skip rule needs the epoch to notice device changes and the
+		// CLINT to keep mtime synced; without them every poll is full.
+		m.polledEpoch = *m.Epoch
+		m.pollSpan = next - h.Cycle
 	}
 }
 
@@ -1054,12 +1118,9 @@ func (m *Machine) runSwitch(budget uint64) StopInfo {
 		if m.stop != nil {
 			break
 		}
-		t, f := m.translate(h.PC)
-		if f != nil {
-			m.trap(f.Cause, f.Addr, h.PC)
-			continue
+		if t := m.lookupTB(h.PC); t != nil {
+			m.interpBlock(t, budget, &left)
 		}
-		m.interpBlock(t, budget, &left)
 	}
 	return m.finishRun()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/obs"
 	"repro/internal/vp"
+	"repro/internal/workloads"
 )
 
 const loopProg = `
@@ -78,6 +79,77 @@ func TestEngineStatsAndRecord(t *testing.T) {
 	}
 	// Nil registry is a no-op.
 	p.RecordStats(nil)
+}
+
+// sensorProg streams eight sensor samples and exits with their sum. It
+// touches no interrupt source: sensor reads do not advance the interrupt
+// epoch.
+const sensorProg = `
+_start:
+	li t0, SENSOR_SAMPLE
+	li t1, 8
+	li a0, 0
+loop:	lw t2, 0(t0)
+	add a0, a0, t2
+	addi t1, t1, -1
+	bnez t1, loop
+	li t6, SYSCON_EXIT
+	sw a0, 0(t6)
+1:	j 1b
+`
+
+// TestFullPollsCounter checks that only programs using interrupts pay for
+// full interrupt polls: a program streaming sensor samples polls the
+// devices once, at its first block boundary, on every engine, while an
+// interrupt-driven demonstrator polls them again at each device event.
+func TestFullPollsCounter(t *testing.T) {
+	pid, ok := workloads.ByName("pid_timer")
+	if !ok {
+		t.Fatal("pid_timer missing")
+	}
+	for _, engine := range emu.Engines() {
+		t.Run(engine.String(), func(t *testing.T) {
+			p, err := vp.New(vp.Config{Sensor: []int16{1, 2, 3, 4, 5, 6, 7, 8}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Machine.Engine = engine
+			if _, err := p.LoadSource(vp.Prelude + sensorProg); err != nil {
+				t.Fatal(err)
+			}
+			if stop := p.Run(10_000); stop.Reason != emu.StopExit || stop.Code != 36 {
+				t.Fatalf("stopped with %v", stop)
+			}
+			if n := p.Machine.Stats().FullPolls; n != 1 {
+				t.Errorf("interrupt-free program made %d full polls, want 1", n)
+			}
+			r := obs.NewRegistry()
+			p.RecordStats(r)
+			if c := r.Counter(vp.MetricIRQFullPolls, ""); c.Value() != 1 {
+				t.Errorf("%s = %d, want 1", vp.MetricIRQFullPolls, c.Value())
+			}
+
+			q, err := vp.New(vp.Config{Sensor: pid.Sensor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Machine.Engine = engine
+			if _, err := q.LoadSource(vp.Prelude + pid.Source); err != nil {
+				t.Fatal(err)
+			}
+			if stop := q.Run(pid.Budget); stop.Reason != emu.StopExit || stop.Code != pid.Expect {
+				t.Fatalf("pid_timer stopped with %v", stop)
+			}
+			es := q.Machine.Stats()
+			if es.FullPolls < 2 || es.FullPolls*50 > q.Machine.Hart.Instret {
+				t.Errorf("pid_timer made %d full polls over %d instructions", es.FullPolls, q.Machine.Hart.Instret)
+			}
+			q.RecordStats(r)
+			if c := r.Counter(vp.MetricIRQFullPolls, ""); c.Value() != 1+es.FullPolls {
+				t.Errorf("%s = %d, want %d", vp.MetricIRQFullPolls, c.Value(), 1+es.FullPolls)
+			}
+		})
+	}
 }
 
 func TestEngineStatsInvalidation(t *testing.T) {

@@ -55,6 +55,11 @@ type Platform struct {
 	DMA     *dev.DMAStream
 	Plic    *dev.PLIC
 
+	// epoch is the interrupt epoch shared by the CLINT, UART, DMA engine
+	// and PLIC, which lets the machine skip polls that cannot change
+	// anything (emu.Machine.Epoch).
+	epoch dev.Epoch
+
 	// Restore accounting: how many rewinds this platform performed and
 	// how much RAM they actually copied. Plain fields (a platform is
 	// single-threaded); fleet aggregation happens via RecordStats.
@@ -90,6 +95,7 @@ func New(cfg Config) (*Platform, error) {
 		DMA:    dev.NewDMAStream(cfg.Stream),
 		Plic:   dev.NewPLIC(),
 	}
+	p.Clint.Epoch, p.UART.Epoch, p.DMA.Epoch, p.Plic.Epoch = &p.epoch, &p.epoch, &p.epoch, &p.epoch
 	p.UART.Feed(cfg.UARTIn)
 	syscon := &dev.SysCon{}
 	type mapping struct {
@@ -117,6 +123,7 @@ func New(cfg Config) (*Platform, error) {
 	p.Machine.Clint = p.Clint
 	p.Machine.ISA = cfg.ISA
 	p.Machine.Ext = extSources{p}
+	p.Machine.Epoch = &p.epoch
 	syscon.OnExit = p.Machine.RequestStop
 
 	// The DMA engine reaches guest memory over the bus (WriteBytes feeds
@@ -132,10 +139,14 @@ func New(cfg Config) (*Platform, error) {
 }
 
 // extSources is the machine's external-interrupt view of the platform:
-// each interrupt poll advances the DMA engine and the PLIC's test-line
-// latch to the current cycle, then mirrors the PLIC's live pending
-// state into MEIP. Device state thus changes only at poll points (and
-// guest MMIO stores), which all engines replicate exactly.
+// each full interrupt poll advances the DMA engine and the PLIC's
+// test-line latch to the current cycle, then mirrors the PLIC's live
+// pending state into MEIP. The machine skips the full poll while the
+// shared epoch is unchanged and the cycle counter is short of NextEvent
+// (and of the CLINT timer), because then it would find nothing new: a
+// Tick before NextEvent is a no-op and every level change bumps the
+// epoch. Device state thus changes only at full polls, guest MMIO
+// accesses and host calls, which all engines replicate exactly.
 type extSources struct{ p *Platform }
 
 func (e extSources) Tick(cycle uint64) {
@@ -144,6 +155,15 @@ func (e extSources) Tick(cycle uint64) {
 }
 
 func (e extSources) Pending() bool { return e.p.Plic.Pending() }
+
+// NextEvent is the earlier of the DMA completion and the test-line latch.
+func (e extSources) NextEvent() (uint64, bool) {
+	at, ok := e.p.DMA.NextEvent()
+	if t, armed := e.p.Plic.NextEvent(); armed && (!ok || t < at) {
+		at, ok = t, true
+	}
+	return at, ok
+}
 
 // dmaBusMem routes DMA guest-memory accesses over the platform bus so
 // host-side copies stay visible to the dirty-state tracking, and drops
