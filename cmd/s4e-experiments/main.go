@@ -1,5 +1,5 @@
-// Command s4e-experiments regenerates the evaluation tables (E1..E9 in
-// EXPERIMENTS.md).
+// Command s4e-experiments regenerates the evaluation tables (E1-E7 and
+// E9 in EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,7 +18,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "", "comma-separated experiment ids (e1..e9); empty = all")
+	which := flag.String("exp", "", "comma-separated experiment ids ("+strings.Join(exp.IDs, ",")+"); empty = all")
 	flag.Parse()
 	var ids []string
 	if *which != "" {
@@ -26,6 +27,9 @@ func main() {
 	out, err := exp.All(ids)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s4e-experiments:", err)
+		if errors.Is(err, exp.ErrUnknownID) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	fmt.Print(out)

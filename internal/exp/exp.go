@@ -1,13 +1,14 @@
-// Package exp regenerates every table and figure of the evaluation: one
-// function per experiment (E1..E9 in EXPERIMENTS.md), each returning
-// structured rows plus the formatted table the tooling prints. The
-// cmd/s4e-experiments binary and the repository benchmarks are thin
-// wrappers over this package.
+// Package exp regenerates the evaluation tables: one function per
+// experiment (E1-E7 and E9 in EXPERIMENTS.md), each returning structured
+// rows plus the formatted table the tooling prints. The
+// cmd/s4e-experiments binary is a thin wrapper over this package.
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -347,71 +348,6 @@ func cyclesOf(w workloads.Workload, prof *timing.Profile) (uint64, error) {
 	return p.Machine.Hart.Cycle, nil
 }
 
-// MIPSRow is one emulation-speed measurement across the engine axis.
-type MIPSRow struct {
-	Program        string
-	MIPSSuperblock float64
-	MIPSSwitch     float64
-}
-
-// E8MIPS measures emulator speed (million instructions per host second)
-// per workload under the compiled superblock engine and the switch
-// interpreter.
-func E8MIPS() ([]MIPSRow, string, error) {
-	var rows []MIPSRow
-	var sb strings.Builder
-	sb.WriteString("E8: emulation speed (host MIPS)\n")
-	fmt.Fprintf(&sb, "  %-14s %10s %10s %8s\n", "program", "superblock", "switch", "sb/sw")
-	for _, w := range workloads.All() {
-		mc, err := mips(w, emu.EngineSuperblock)
-		if err != nil {
-			return nil, "", err
-		}
-		ms, err := mips(w, emu.EngineSwitch)
-		if err != nil {
-			return nil, "", err
-		}
-		r := MIPSRow{Program: w.Name, MIPSSuperblock: mc, MIPSSwitch: ms}
-		rows = append(rows, r)
-		fmt.Fprintf(&sb, "  %-14s %10.1f %10.1f %8.2fx\n",
-			r.Program, r.MIPSSuperblock, r.MIPSSwitch, r.MIPSSuperblock/r.MIPSSwitch)
-	}
-	return rows, sb.String(), nil
-}
-
-// mips times steady-state runs (one platform, rewound between reps) and
-// returns the best observed MIPS.
-func mips(w workloads.Workload, engine emu.Engine) (float64, error) {
-	const reps = 3
-	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
-	if err != nil {
-		return 0, err
-	}
-	p, err := vp.New(vp.Config{Sensor: w.Sensor})
-	if err != nil {
-		return 0, err
-	}
-	p.Machine.Engine = engine
-	if err := p.LoadProgram(prog); err != nil {
-		return 0, err
-	}
-	base := p.Snapshot()
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		p.RestoreReuse(base, prog)
-		start := time.Now()
-		stop := p.Run(w.Budget)
-		d := time.Since(start).Seconds()
-		if stop.Reason != emu.StopExit {
-			return 0, fmt.Errorf("exp: %s stopped with %v", w.Name, stop)
-		}
-		if m := float64(p.Machine.Hart.Instret) / d / 1e6; m > best {
-			best = m
-		}
-	}
-	return best, nil
-}
-
 // DensityRow is one code-density measurement.
 type DensityRow struct {
 	Program   string
@@ -465,12 +401,24 @@ func E9Density() ([]DensityRow, string, error) {
 	return rows, sb.String(), nil
 }
 
+// IDs lists the experiment ids All accepts, in the order it runs them.
+// E8 and E10-E13 are measured by the repository benchmark (perfbench)
+// and the go test benchmarks instead.
+var IDs = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e9"}
+
+// ErrUnknownID is wrapped by the error All returns for an id not in IDs.
+var ErrUnknownID = errors.New("unknown experiment id")
+
 // All runs every experiment and concatenates the tables; the experiment
-// ids may be restricted.
+// ids may be restricted to a subset of IDs.
 func All(ids []string) (string, error) {
 	want := map[string]bool{}
 	for _, id := range ids {
-		want[strings.ToLower(id)] = true
+		id = strings.ToLower(id)
+		if !slices.Contains(IDs, id) {
+			return "", fmt.Errorf("%w %q (valid: %s)", ErrUnknownID, id, strings.Join(IDs, ", "))
+		}
+		want[id] = true
 	}
 	sel := func(id string) bool { return len(want) == 0 || want[id] }
 	var sb strings.Builder
@@ -524,13 +472,6 @@ func All(ids []string) (string, error) {
 	}
 	if sel("e7") {
 		_, s, err := E7BMI(timing.EdgeSmall())
-		if err != nil {
-			return "", err
-		}
-		add(s)
-	}
-	if sel("e8") {
-		_, s, err := E8MIPS()
 		if err != nil {
 			return "", err
 		}

@@ -1,6 +1,7 @@
 package exp_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -102,5 +103,24 @@ func TestAllSelectsExperiments(t *testing.T) {
 	}
 	if strings.Contains(out, "E5:") {
 		t.Error("unselected experiment ran")
+	}
+}
+
+func TestAllRejectsUnknownIDs(t *testing.T) {
+	// e8 (emulation speed) is measured by the repository benchmark, so it
+	// is as unknown here as an id that never existed.
+	for _, id := range []string{"e99", "e8"} {
+		out, err := exp.All([]string{"e1", id})
+		if !errors.Is(err, exp.ErrUnknownID) {
+			t.Fatalf("All(e1, %s) = %v, want ErrUnknownID", id, err)
+		}
+		if out != "" {
+			t.Errorf("All(e1, %s) ran experiments before rejecting:\n%s", id, out)
+		}
+		for _, valid := range exp.IDs {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("error %q does not name valid id %s", err, valid)
+			}
+		}
 	}
 }

@@ -122,42 +122,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts the way Prometheus' histogram_quantile does: find the bucket
-// the target rank falls into and interpolate linearly inside it. The
-// estimate of a rank beyond the last finite bound is clamped to that
-// bound (there is no upper edge to interpolate toward). Returns NaN on
-// an empty histogram or a q outside [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, b := range h.bounds {
-		n := float64(h.counts[i].Load())
-		if cum+n >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			if n == 0 {
-				return b
-			}
-			return lower + (b-lower)*((rank-cum)/n)
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // metric is one registered instrument; exactly one of c/g/h is non-nil.
 type metric struct {
 	name string // may carry Prometheus labels: foo_total{outcome="sdc"}

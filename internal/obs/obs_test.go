@@ -243,46 +243,3 @@ func TestTraceConcurrent(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "", []float64{1, 2, 4, 8})
-
-	if v := h.Quantile(0.5); v == v { // NaN check without math import
-		t.Errorf("empty histogram quantile %v, want NaN", v)
-	}
-
-	// 100 samples uniform in (0,1]: every quantile lands in the first
-	// bucket and interpolates within [0,1].
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 100)
-	}
-	if v := h.Quantile(0.5); v < 0.4 || v > 0.6 {
-		t.Errorf("p50 %v, want ~0.5", v)
-	}
-	if v := h.Quantile(0.99); v < 0.9 || v > 1.0 {
-		t.Errorf("p99 %v, want ~0.99", v)
-	}
-	if v := h.Quantile(1); v != 1 {
-		t.Errorf("p100 %v, want 1 (upper bound of the hit bucket)", v)
-	}
-
-	// Push half the mass into the 2-4 bucket: the median moves there.
-	for i := 0; i < 100; i++ {
-		h.Observe(3)
-	}
-	if v := h.Quantile(0.75); v < 2 || v > 4 {
-		t.Errorf("p75 %v, want within (2,4]", v)
-	}
-
-	// Samples beyond the last finite bound clamp to it.
-	h2 := r.Histogram("q2_seconds", "", []float64{1})
-	h2.Observe(50)
-	if v := h2.Quantile(0.99); v != 1 {
-		t.Errorf("overflow quantile %v, want clamp to 1", v)
-	}
-
-	if v := h.Quantile(-0.1); v == v {
-		t.Errorf("out-of-range q: %v, want NaN", v)
-	}
-}

@@ -14,7 +14,7 @@ func buildTools(t *testing.T) string {
 	dir := t.TempDir()
 	tools := []string{
 		"s4e-asm", "s4e-dis", "s4e-run", "s4e-cfg", "s4e-wcet", "s4e-qta",
-		"s4e-cov", "s4e-fault", "s4e-torture", "s4e-experiments", "s4e-bench",
+		"s4e-cov", "s4e-fault", "s4e-torture", "s4e-experiments",
 		"s4e-lint", "s4e-serve", "s4e-prune",
 	}
 	for _, tool := range tools {
@@ -310,9 +310,6 @@ func TestToolchainEndToEnd(t *testing.T) {
 		}{
 			{"s4e-run", []string{src}, 136 & 0x7f},
 			{"s4e-fault", []string{"-gpr", "5", "-mem", "1", "-code", "1", src}, 0},
-			{"s4e-bench", []string{"-o", filepath.Join(work, "prof-bench.json"), "-reps", "1",
-				"-workloads", "xtea", "-campaign-workload", "",
-				"-service-jobs", "0", "-irq-samples", "0"}, 0},
 		} {
 			prof := filepath.Join(work, c.tool+".cpu")
 			out, code := runTool(t, filepath.Join(bin, c.tool), append([]string{"-cpuprofile", prof}, c.args...)...)
@@ -326,24 +323,6 @@ func TestToolchainEndToEnd(t *testing.T) {
 			// A pprof profile is a gzip-compressed protobuf.
 			if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
 				t.Errorf("%s: %s is not a pprof profile (%d bytes)", c.tool, prof, len(data))
-			}
-		}
-	})
-
-	t.Run("bench-json", func(t *testing.T) {
-		dst := filepath.Join(work, "bench.json")
-		out, code := runTool(t, filepath.Join(bin, "s4e-bench"),
-			"-o", dst, "-reps", "1", "-workloads", "xtea")
-		if code != 0 {
-			t.Fatalf("s4e-bench (%d):\n%s", code, out)
-		}
-		data, err := os.ReadFile(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, frag := range []string{`"superblock"`, `"switch"`, `"xtea"`} {
-			if !strings.Contains(string(data), frag) {
-				t.Errorf("bench JSON missing %q:\n%s", frag, data)
 			}
 		}
 	})
@@ -363,6 +342,12 @@ func TestToolchainEndToEnd(t *testing.T) {
 		os.WriteFile(bad, []byte("bogus a0\n"), 0o644)
 		if out, code := runTool(t, filepath.Join(bin, "s4e-asm"), bad); code == 0 {
 			t.Errorf("bad assembly should fail:\n%s", out)
+		}
+		for _, id := range []string{"e8", "e99"} {
+			out, code := runTool(t, filepath.Join(bin, "s4e-experiments"), "-exp", id)
+			if code != 2 || !strings.Contains(out, "e1, e2") {
+				t.Errorf("s4e-experiments -exp %s: exit %d, want 2 naming the valid ids:\n%s", id, code, out)
+			}
 		}
 	})
 }
