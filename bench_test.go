@@ -50,7 +50,7 @@ func BenchmarkE2_QTA(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var res qta.Result
 			for i := 0; i < b.N; i++ {
-				r, err := flow.RunQTA(w, prof)
+				r, err := flow.RunQTA(context.Background(), w, prof, asm.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,7 +72,11 @@ func BenchmarkE2_QTA(b *testing.B) {
 func BenchmarkE3_Overhead(b *testing.B) {
 	prof := timing.EdgeSmall()
 	w := getWorkload(b, "xtea")
-	a, err := flow.Analyze(w.Source, prof, w.LoopBounds)
+	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := flow.Analyze(context.Background(), prog, prof, w.LoopBounds, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 // Command s4e-cfg reconstructs the control-flow graph of an assembly
-// program and writes it in Graphviz DOT format. With -annotate, each
+// program, closed over its resolvable indirect jumps and calls the way
+// every whole-program analysis sees it (subset.Resolve), and writes it
+// in Graphviz DOT format. With -annotate, each
 // block label additionally carries the static-analysis facts: loop
 // heads with their depth and (user or inferred) bound, and lint
 // findings.
@@ -13,33 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/asm"
-	"repro/internal/cfg"
 	"repro/internal/flow"
+	"repro/internal/subset"
 	"repro/internal/vp"
 )
-
-func parseBounds(s string) (map[string]int, error) {
-	out := map[string]int{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad bound %q (want label=N)", part)
-		}
-		n, err := strconv.Atoi(kv[1])
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad bound count %q", kv[1])
-		}
-		out[strings.TrimSpace(kv[0])] = n
-	}
-	return out, nil
-}
 
 func main() {
 	out := flag.String("o", "", "output file (default: stdout)")
@@ -50,7 +32,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: s4e-cfg [-annotate] [-o out.dot] prog.s")
 		os.Exit(2)
 	}
-	bounds, err := parseBounds(*boundsFlag)
+	bounds, err := flow.ParseBounds(*boundsFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,7 +44,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	g, err := cfg.Build(prog.Bytes, prog.Org, prog.Entry)
+	g, _, err := subset.Resolve(prog.Bytes, prog.Org, prog.Entry)
 	if err != nil {
 		fatal(err)
 	}

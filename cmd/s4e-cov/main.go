@@ -28,7 +28,7 @@ func main() {
 	byExt := flag.Bool("ext", false, "break coverage down per extension group")
 	flag.Parse()
 
-	set, err := parseISA(*isaName)
+	set, err := isa.ParseExtSet(*isaName)
 	if err != nil {
 		fatal(err)
 	}
@@ -73,24 +73,6 @@ func main() {
 		fmt.Println("missing instruction types:", r.MissingOps)
 		fmt.Println("untouched GPRs:", r.MissingGPR)
 	}
-}
-
-func parseISA(s string) (isa.ExtSet, error) {
-	switch s {
-	case "rv32i":
-		return isa.RV32I, nil
-	case "rv32im":
-		return isa.RV32IM, nil
-	case "rv32imf":
-		return isa.RV32IMF, nil
-	case "rv32imb":
-		return isa.RV32IMB, nil
-	case "rv32imc":
-		return isa.RV32IMC, nil
-	case "full":
-		return isa.RV32Full, nil
-	}
-	return 0, fmt.Errorf("unknown ISA %q", s)
 }
 
 func fatal(err error) {

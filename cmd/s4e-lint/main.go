@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/asm"
@@ -26,25 +25,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/vp"
 )
-
-func parseBounds(s string) (map[string]int, error) {
-	out := map[string]int{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad bound %q (want label=N)", part)
-		}
-		n, err := strconv.Atoi(kv[1])
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad bound count %q", kv[1])
-		}
-		out[strings.TrimSpace(kv[0])] = n
-	}
-	return out, nil
-}
 
 func parseSeverity(s string) (lint.Severity, error) {
 	switch s {
@@ -78,7 +58,7 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	bounds, err := parseBounds(*boundsFlag)
+	bounds, err := flow.ParseBounds(*boundsFlag)
 	if err != nil {
 		usage(err)
 	}

@@ -25,27 +25,6 @@ import (
 	"repro/internal/vp"
 )
 
-// parseISA maps a -isa flag value to an extension set.
-func parseISA(s string) (isa.ExtSet, error) {
-	switch strings.ToLower(s) {
-	case "rv32i":
-		return isa.RV32I, nil
-	case "rv32im":
-		return isa.RV32IM, nil
-	case "rv32imf":
-		return isa.RV32IMF, nil
-	case "rv32imb":
-		return isa.RV32IMB, nil
-	case "rv32imc":
-		return isa.RV32IMC, nil
-	case "rv32imfc":
-		return isa.RV32IMFC, nil
-	case "full", "rv32full":
-		return isa.RV32Full, nil
-	}
-	return 0, fmt.Errorf("unknown ISA configuration %q", s)
-}
-
 func main() {
 	profName := flag.String("profile", "unit", "timing profile: unit, edge-small, edge-fast")
 	isaName := flag.String("isa", "full", "ISA configuration: rv32i(m)(f)(b)(c), full")
@@ -69,7 +48,7 @@ func main() {
 	if !ok {
 		usage(fmt.Errorf("unknown profile %q", *profName))
 	}
-	set, err := parseISA(*isaName)
+	set, err := isa.ParseExtSet(*isaName)
 	if err != nil {
 		usage(err)
 	}

@@ -28,20 +28,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var set isa.ExtSet
-	switch *isaName {
-	case "rv32i":
-		set = isa.RV32I
-	case "rv32im":
-		set = isa.RV32IM
-	case "rv32imf":
-		set = isa.RV32IMF
-	case "rv32imb":
-		set = isa.RV32IMB
-	case "full":
-		set = isa.RV32Full
-	default:
-		fmt.Fprintf(os.Stderr, "s4e-torture: unknown ISA %q\n", *isaName)
+	set, err := isa.ParseExtSet(*isaName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "s4e-torture:", err)
 		os.Exit(2)
 	}
 

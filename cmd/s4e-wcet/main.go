@@ -7,35 +7,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/flow"
 	"repro/internal/lint"
 	"repro/internal/timing"
+	"repro/internal/vp"
 )
-
-func parseBounds(s string) (map[string]int, error) {
-	out := map[string]int{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad bound %q (want label=N)", part)
-		}
-		n, err := strconv.Atoi(kv[1])
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad bound count %q", kv[1])
-		}
-		out[strings.TrimSpace(kv[0])] = n
-	}
-	return out, nil
-}
 
 func main() {
 	profName := flag.String("profile", "edge-small", "timing profile")
@@ -43,7 +26,7 @@ func main() {
 	out := flag.String("o", "", "annotated CFG output (default: input + .qta.json)")
 	dot := flag.String("dot", "", "also write the CFG in Graphviz format")
 	report := flag.Bool("report", false, "print the full per-block analysis report")
-	infer := flag.Bool("infer", true, "infer bounds of canonical counted loops automatically")
+	infer := flag.Bool("infer", true, "infer bounds of counted loops automatically")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: s4e-wcet [flags] prog.s")
@@ -54,7 +37,7 @@ func main() {
 	if !ok {
 		usage(fmt.Errorf("unknown profile %q", *profName))
 	}
-	bounds, err := parseBounds(*boundsFlag)
+	bounds, err := flow.ParseBounds(*boundsFlag)
 	if err != nil {
 		usage(err)
 	}
@@ -62,11 +45,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	a, err := flow.AnalyzeOpt(string(src), prof, bounds, *infer)
+	prog, err := asm.AssembleAt(vp.Prelude+string(src), vp.RAMBase)
 	if err != nil {
 		fatal(err)
 	}
-	for _, f := range a.Lint {
+	a, err := flow.Analyze(context.Background(), prog, prof, bounds, *infer)
+	if err != nil {
+		fatal(err)
+	}
+	for _, f := range lint.Graph(a.Graph, prog.Lines, flow.LintConfig(prog, bounds)) {
 		if f.Severity >= lint.Possible {
 			fmt.Fprintf(os.Stderr, "s4e-wcet: lint: %s\n", f)
 		}

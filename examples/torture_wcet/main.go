@@ -6,9 +6,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/flow"
 	"repro/internal/isa"
@@ -28,9 +30,13 @@ func main() {
 	for seed := int64(0); seed < runs; seed++ {
 		prog := torture.Generate(torture.Config{Seed: seed, Insts: 250, ISA: isa.RV32IM})
 
-		// Static analysis with inference only: the generator's counted
-		// loops follow the li/addi/bnez idiom the analyzer recognizes.
-		a, err := flow.AnalyzeOpt(prog.Source, prof, nil, true)
+		// Static analysis with inference only: the interval analysis
+		// bounds the generator's counted loops.
+		bin, err := asm.AssembleAt(vp.Prelude+prog.Source, vp.RAMBase)
+		if err != nil {
+			log.Fatalf("seed %d: %v", seed, err)
+		}
+		a, err := flow.Analyze(context.Background(), bin, prof, nil, true)
 		if err != nil {
 			log.Fatalf("seed %d: %v", seed, err)
 		}
@@ -39,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := p.LoadProgram(a.Program); err != nil {
+		if err := p.LoadProgram(bin); err != nil {
 			log.Fatal(err)
 		}
 		stop := p.Run(prog.Budget)

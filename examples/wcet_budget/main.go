@@ -7,9 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/asm"
 	"repro/internal/flow"
 	"repro/internal/timing"
 	"repro/internal/workloads"
@@ -35,7 +37,7 @@ func main() {
 			log.Fatalf("workload %s missing", task.name)
 		}
 		// Static analysis + annotated co-simulation in one call.
-		res, err := flow.RunQTA(w, prof)
+		res, err := flow.RunQTA(context.Background(), w, prof, asm.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -140,8 +140,8 @@ func TestInitDomainJoin(t *testing.T) {
 	}
 }
 
-// Up-counting loop with a slti/bnez latch: the legacy down-count
-// inferencer cannot bound this, the interval inferencer must.
+// Up-counting loop with a slti/bnez latch: a down-count-only matcher
+// cannot bound this, the interval inferencer must.
 func TestLoopBoundUpCount(t *testing.T) {
 	if b := singleBound(t, `
 		li   a0, 0

@@ -68,6 +68,15 @@ type TBPool struct {
 	traces map[uint32]*traceCode
 }
 
+// CodeClean reports whether the machine's translated code bytes are
+// still the loaded image: no store ever hit translated code and no
+// translation overlaps a written page. Only a run that leaves them so
+// may publish its compiled state (BuildTBPool) for machines that boot
+// from the pristine image.
+func (m *Machine) CodeClean() bool {
+	return m.codeWrites == 0 && !m.CodePagesDirty()
+}
+
 // BuildTBPool freezes the machine's current translation cache into a
 // shareable pool: every cached block matching the machine's current
 // profile/ISA specialization — and whose bytes are untouched per the

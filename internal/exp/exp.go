@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -64,7 +65,7 @@ func E2QTA(prof *timing.Profile) ([]qta.Result, string, error) {
 	fmt.Fprintf(&sb, "  %-14s %10s %10s %10s %11s %9s  %s\n",
 		"program", "static", "qta", "dynamic", "static/dyn", "qta/dyn", "sound")
 	for _, w := range workloads.All() {
-		r, err := flow.RunQTA(w, prof)
+		r, err := flow.RunQTA(context.TODO(), w, prof, asm.Options{})
 		if err != nil {
 			return nil, "", err
 		}
@@ -143,7 +144,11 @@ func timeRun(w workloads.Workload, prof *timing.Profile, mk func() plugin.Plugin
 }
 
 func timeQTA(w workloads.Workload, prof *timing.Profile) (int64, uint64, error) {
-	a, err := flow.Analyze(w.Source, prof, w.LoopBounds)
+	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
+	if err != nil {
+		return 0, 0, err
+	}
+	a, err := flow.Analyze(context.TODO(), prog, prof, w.LoopBounds, false)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -310,11 +310,7 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 	}
 
 	if f.Model == GPRPermanent {
-		out, err := injectStuck(t, g, f, p)
-		if err != nil {
-			return out, err
-		}
-		return inj.finish(out), nil
+		return inj.classify(g, injectStuck(t, f, p)), nil
 	}
 
 	var stop emu.StopInfo
@@ -336,71 +332,48 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 	} else {
 		stop = p.Run(t.Budget)
 	}
+	return inj.classify(g, stop), nil
+}
 
+// classify maps a mutant's stop to its outcome against the golden run:
+// an exhausted budget is a hang, the golden's own exit with its code
+// and output is masked, another code or output is SDC, and any other
+// stop is a trap. Masked and SDC runs then face the latency budget.
+func (inj *injector) classify(g *Golden, stop emu.StopInfo) Outcome {
 	switch stop.Reason {
 	case emu.StopBudget:
-		return Hung, nil
-	case emu.StopTrap:
-		return Trapped, nil
+		return Hung
 	case emu.StopExit, emu.StopEbreak:
-		if stop.Reason == g.Stop.Reason && stop.Code == g.Stop.Code && p.Output() == g.Output {
-			return inj.finish(Masked), nil
-		}
 		if stop.Reason != g.Stop.Reason {
-			return Trapped, nil
+			return Trapped
 		}
-		return inj.finish(SDC), nil
+		if stop.Code == g.Stop.Code && inj.p.Output() == g.Output {
+			return inj.finish(Masked)
+		}
+		return inj.finish(SDC)
 	}
-	return Trapped, nil
+	return Trapped
 }
 
 // injectStuck simulates a stuck register-file bit by re-applying the
 // stuck value before every instruction (single-step execution, so the
-// classification is exact at the cost of translation-cache speed).
-func injectStuck(t *Target, g *Golden, f Fault, p *vp.Platform) (Outcome, error) {
+// classification is exact at the cost of translation-cache speed). A
+// run that exhausts the budget stops with StopBudget.
+func injectStuck(t *Target, f Fault, p *vp.Platform) emu.StopInfo {
 	h := &p.Machine.Hart
-	apply := func() {
-		if f.Reg == 0 {
-			return
-		}
-		if f.Stuck1 {
-			h.X[f.Reg] |= 1 << f.Bit
-		} else {
-			h.X[f.Reg] &^= 1 << f.Bit
-		}
-	}
-	var stop *emu.StopInfo
 	for steps := uint64(0); steps < t.Budget; steps++ {
-		apply()
-		if stop = p.Machine.Step(); stop != nil {
-			break
+		if f.Reg != 0 {
+			if f.Stuck1 {
+				h.X[f.Reg] |= 1 << f.Bit
+			} else {
+				h.X[f.Reg] &^= 1 << f.Bit
+			}
+		}
+		if stop := p.Machine.Step(); stop != nil {
+			return *stop
 		}
 	}
-	if stop == nil {
-		return Hung, nil
-	}
-	switch stop.Reason {
-	case emu.StopTrap:
-		return Trapped, nil
-	case emu.StopExit, emu.StopEbreak:
-		if stop.Reason == g.Stop.Reason && stop.Code == g.Stop.Code && p.Output() == g.Output {
-			return Masked, nil
-		}
-		if stop.Reason != g.Stop.Reason {
-			return Trapped, nil
-		}
-		return SDC, nil
-	}
-	return Trapped, nil
-}
-
-// goldenCodeClean reports whether the golden run left its translated
-// code bytes bit-identical to the post-load image: no store ever hit
-// translated code, and no translation overlaps a page the run wrote.
-// Only then do the golden platform's compiled blocks match the pristine
-// image every campaign worker boots from.
-func goldenCodeClean(p *vp.Platform) bool {
-	return p.Machine.CodeWrites() == 0 && !p.Machine.CodePagesDirty()
+	return emu.StopInfo{Reason: emu.StopBudget, PC: h.PC}
 }
 
 // Plan is a generated fault list.
@@ -614,15 +587,15 @@ type Options struct {
 // translation state into a shareable pool, so many campaigns over the
 // same target can reuse both via Options.Golden/Options.Pool. The pool
 // is nil when the golden run dirtied its own code (the same
-// goldenCodeClean gate CampaignOpt applies); the Golden is still valid
-// then, campaigns just fall back to private translation caches.
+// Machine.CodeClean gate CampaignOpt applies); the Golden is still
+// valid then, campaigns just fall back to private translation caches.
 func Prepare(t *Target) (*Golden, *emu.TBPool, error) {
 	g, gp, err := runGolden(t)
 	if err != nil {
 		return nil, nil, err
 	}
 	var pool *emu.TBPool
-	if goldenCodeClean(gp) {
+	if gp.Machine.CodeClean() {
 		pool = gp.Machine.BuildTBPool()
 	}
 	return g, pool, nil
@@ -667,7 +640,7 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 		// injector's per-mutant check) compiled blocks that don't match
 		// the pristine image workers validate against, so such a
 		// campaign falls back to private caches.
-		if !o.NoSharedPool && goldenCodeClean(gp) {
+		if !o.NoSharedPool && gp.Machine.CodeClean() {
 			pool = gp.Machine.BuildTBPool()
 		}
 	}

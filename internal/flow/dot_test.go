@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/cfg"
 	"repro/internal/flow"
+	"repro/internal/subset"
 	"repro/internal/vp"
 )
 
@@ -34,7 +34,7 @@ func TestAnnotatedDOTGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(prog.Bytes, prog.Org, prog.Entry)
+	g, _, err := subset.Resolve(prog.Bytes, prog.Org, prog.Entry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAnnotatedDOTNotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(prog.Bytes, prog.Org, prog.Entry)
+	g, _, err := subset.Resolve(prog.Bytes, prog.Org, prog.Entry)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package flow_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/asm"
 	"repro/internal/flow"
 	"repro/internal/timing"
 	"repro/internal/workloads"
@@ -14,7 +16,7 @@ import (
 // the fundamental ordering.
 func Example() {
 	w, _ := workloads.ByName("pid")
-	res, err := flow.RunQTA(w, timing.EdgeSmall())
+	res, err := flow.RunQTA(context.Background(), w, timing.EdgeSmall(), asm.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,10 @@
 package flow
 
 import (
+	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
@@ -29,7 +32,6 @@ type Analysis struct {
 	Program   *asm.Program
 	Graph     *cfg.Graph
 	Annotated *wcet.Annotated
-	Lint      []lint.Finding
 }
 
 // PlatformRegions is the virtual platform's data-access map, as lint
@@ -88,18 +90,7 @@ func AnnotatedDOT(prog *asm.Program, g *cfg.Graph, bounds map[string]int) string
 			boundByAddr[addr] = b
 		}
 	}
-	// Walk the entry function and every statically known callee.
-	funcs := []uint32{g.Entry}
-	seen := map[uint32]bool{g.Entry: true}
-	for i := 0; i < len(funcs); i++ {
-		for _, c := range g.Callees(funcs[i]) {
-			if !seen[c] {
-				seen[c] = true
-				funcs = append(funcs, c)
-			}
-		}
-	}
-	for _, entry := range funcs {
+	for _, entry := range subset.Functions(g) {
 		loops, err := g.NaturalLoops(entry)
 		if err != nil {
 			continue
@@ -134,30 +125,17 @@ func AnnotatedDOT(prog *asm.Program, g *cfg.Graph, bounds map[string]int) string
 	return g.DOTAnnotated(symByAddr, notes)
 }
 
-// Analyze assembles source (with the platform prelude) and runs CFG
-// reconstruction plus WCET analysis under the given profile and loop
-// bounds.
-func Analyze(src string, prof *timing.Profile, bounds map[string]int) (*Analysis, error) {
-	return AnalyzeOpt(src, prof, bounds, false)
-}
-
-// AnalyzeOpt is Analyze with automatic loop-bound inference selectable.
-func AnalyzeOpt(src string, prof *timing.Profile, bounds map[string]int, infer bool) (*Analysis, error) {
-	return AnalyzeFull(src, prof, bounds, infer, asm.Options{})
-}
-
-// AnalyzeFull additionally exposes the assembler options, so the timing
-// flow can run over RVC-compressed builds.
-func AnalyzeFull(src string, prof *timing.Profile, bounds map[string]int, infer bool, asmOpt asm.Options) (*Analysis, error) {
-	prog, err := asm.AssembleAtOpt(vp.Prelude+src, vp.RAMBase, asmOpt)
-	if err != nil {
-		return nil, err
-	}
+// Analyze is the static half of the flow and the one place a program
+// becomes an analysis: it closes the program's interprocedural CFG with
+// subset.Resolve (jumps and calls through proven-constant targets become
+// edges) and runs the cancellable WCET analysis over that graph with the
+// given loop bounds, inferring the missing ones when infer is set.
+func Analyze(ctx context.Context, prog *asm.Program, prof *timing.Profile, bounds map[string]int, infer bool) (*Analysis, error) {
 	g, _, err := subset.Resolve(prog.Bytes, prog.Org, prog.Entry)
 	if err != nil {
 		return nil, err
 	}
-	an, err := wcet.Analyze(g, wcet.Config{
+	an, err := wcet.AnalyzeContext(ctx, g, wcet.Config{
 		Profile:     prof,
 		Bounds:      bounds,
 		Symbols:     prog.Symbols,
@@ -166,14 +144,18 @@ func AnalyzeFull(src string, prof *timing.Profile, bounds map[string]int, infer 
 	if err != nil {
 		return nil, err
 	}
-	findings := lint.Graph(g, prog.Lines, LintConfig(prog, bounds))
-	return &Analysis{Program: prog, Graph: g, Annotated: an, Lint: findings}, nil
+	return &Analysis{Program: prog, Graph: g, Annotated: an}, nil
 }
 
-// RunQTACompressed is RunQTA over the RVC-compressed build of the
-// workload: the whole timing flow on mixed 16/32-bit code.
-func RunQTACompressed(w workloads.Workload, prof *timing.Profile) (qta.Result, error) {
-	a, err := AnalyzeFull(w.Source, prof, w.LoopBounds, false, asm.Options{Compress: true})
+// RunQTA performs the full QTA flow for one workload: assemble it (the
+// RVC-compressed build when opt.Compress is set), analyze it, then
+// co-simulate it with the timing-annotated CFG on the edge platform.
+func RunQTA(ctx context.Context, w workloads.Workload, prof *timing.Profile, opt asm.Options) (qta.Result, error) {
+	prog, err := asm.AssembleAtOpt(vp.Prelude+w.Source, vp.RAMBase, opt)
+	if err != nil {
+		return qta.Result{}, fmt.Errorf("flow: %s: %w", w.Name, err)
+	}
+	a, err := Analyze(ctx, prog, prof, w.LoopBounds, false)
 	if err != nil {
 		return qta.Result{}, fmt.Errorf("flow: %s: %w", w.Name, err)
 	}
@@ -181,14 +163,13 @@ func RunQTACompressed(w workloads.Workload, prof *timing.Profile) (qta.Result, e
 	if err != nil {
 		return qta.Result{}, err
 	}
-	q := qta.New(a.Annotated)
-	if err := p.Machine.Hooks.Register(q); err != nil {
+	if err := p.LoadProgram(prog); err != nil {
 		return qta.Result{}, err
 	}
-	if err := p.LoadProgram(a.Program); err != nil {
+	q, stop, err := qta.CoSim(ctx, a.Annotated, p, w.Budget)
+	if err != nil {
 		return qta.Result{}, err
 	}
-	stop := p.Run(w.Budget)
 	if stop.Reason != emu.StopExit {
 		return qta.Result{}, fmt.Errorf("flow: %s stopped with %v", w.Name, stop)
 	}
@@ -196,43 +177,11 @@ func RunQTACompressed(w workloads.Workload, prof *timing.Profile) (qta.Result, e
 		return qta.Result{}, fmt.Errorf("flow: %s produced 0x%08x, want 0x%08x",
 			w.Name, stop.Code, w.Expect)
 	}
-	return q.NewResult(w.Name+"(rvc)", p.Machine.Hart.Cycle, p.Machine.Hart.Instret), nil
-}
-
-// RunQTA performs the full QTA flow for one workload: static analysis,
-// then co-simulation with the timing-annotated CFG on the edge platform.
-func RunQTA(w workloads.Workload, prof *timing.Profile) (qta.Result, error) {
-	a, err := Analyze(w.Source, prof, w.LoopBounds)
-	if err != nil {
-		return qta.Result{}, fmt.Errorf("flow: %s: %w", w.Name, err)
+	name := w.Name
+	if opt.Compress {
+		name += "(rvc)"
 	}
-	p, err := vp.New(vp.Config{Profile: prof, Sensor: w.Sensor, Stream: w.Stream, UARTIn: w.UARTIn})
-	if err != nil {
-		return qta.Result{}, err
-	}
-	q := qta.New(a.Annotated)
-	if err := p.Machine.Hooks.Register(q); err != nil {
-		return qta.Result{}, err
-	}
-	if err := p.LoadProgram(a.Program); err != nil {
-		return qta.Result{}, err
-	}
-	stop := p.Run(w.Budget)
-	if stop.Reason != emu.StopExit {
-		return qta.Result{}, fmt.Errorf("flow: %s stopped with %v", w.Name, stop)
-	}
-	if stop.Code != w.Expect {
-		return qta.Result{}, fmt.Errorf("flow: %s produced 0x%08x, want 0x%08x",
-			w.Name, stop.Code, w.Expect)
-	}
-	res := q.NewResult(w.Name, p.Machine.Hart.Cycle, p.Machine.Hart.Instret)
-	return res, nil
-}
-
-// Run executes a workload without instrumentation and returns the
-// platform for inspection.
-func Run(w workloads.Workload, prof *timing.Profile) (*vp.Platform, emu.StopInfo, error) {
-	return RunWith(w, prof)
+	return q.NewResult(name, p.Machine.Hart.Cycle, p.Machine.Hart.Instret), nil
 }
 
 // RunWith executes a workload with the given plugins attached and
@@ -256,4 +205,25 @@ func RunWith(w workloads.Workload, prof *timing.Profile, plugins ...plugin.Plugi
 			w.Name, stop.Code, w.Expect)
 	}
 	return p, stop, nil
+}
+
+// ParseBounds parses the tools' -bounds flag, "label=N,label=N,...",
+// into loop bounds keyed by label; every N must be at least 1.
+func ParseBounds(s string) (map[string]int, error) {
+	out := map[string]int{}
+	if s == "" {
+		return out, nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		kv := strings.SplitN(part, "=", 2)
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("bad bound %q (want label=N)", part)
+		}
+		n, err := strconv.Atoi(kv[1])
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad bound count %q", kv[1])
+		}
+		out[strings.TrimSpace(kv[0])] = n
+	}
+	return out, nil
 }

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op identifies one architectural instruction (one mnemonic).
 type Op uint16
@@ -258,6 +261,29 @@ var (
 	RV32IMFC = RV32IMF.With(ExtC)
 	RV32Full = RV32IMF.With(ExtXbmi).With(ExtC)
 )
+
+// ParseExtSet maps a configuration name as the tools' -isa flags spell
+// it (rv32i, rv32im, rv32imf, rv32imb, rv32imc, rv32imfc, and full or
+// rv32full for RV32Full; any letter case) to its extension set.
+func ParseExtSet(name string) (ExtSet, error) {
+	switch strings.ToLower(name) {
+	case "rv32i":
+		return RV32I, nil
+	case "rv32im":
+		return RV32IM, nil
+	case "rv32imf":
+		return RV32IMF, nil
+	case "rv32imb":
+		return RV32IMB, nil
+	case "rv32imc":
+		return RV32IMC, nil
+	case "rv32imfc":
+		return RV32IMFC, nil
+	case "full", "rv32full":
+		return RV32Full, nil
+	}
+	return 0, fmt.Errorf("unknown ISA configuration %q", name)
+}
 
 func (s ExtSet) String() string {
 	out := "RV32"

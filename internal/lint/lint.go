@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/decode"
 	"repro/internal/isa"
+	"repro/internal/subset"
 )
 
 // Severity grades how certain a finding is.
@@ -84,15 +84,6 @@ type Config struct {
 	EntryInit []isa.Reg
 }
 
-// Program lints an assembled program: build its CFG and run every check.
-func Program(prog *asm.Program, conf Config) ([]Finding, error) {
-	g, err := cfg.Build(prog.Bytes, prog.Org, prog.Entry)
-	if err != nil {
-		return nil, err
-	}
-	return Graph(g, prog.Lines, conf), nil
-}
-
 // Graph lints a reconstructed CFG. lines maps instruction addresses to
 // source lines (may be nil).
 func Graph(g *cfg.Graph, lines map[uint32]int, conf Config) []Finding {
@@ -125,28 +116,11 @@ func (l *linter) add(check string, sev Severity, addr uint32, format string, arg
 }
 
 func (l *linter) run() {
-	funcs := l.functions()
-	for i, entry := range funcs {
+	for i, entry := range subset.Functions(l.g) {
 		l.checkFunction(entry, i == 0)
 	}
 	l.checkUnreachable()
 	l.checkSelfModifyingStores()
-}
-
-// functions returns the entry function followed by all statically known
-// callees, transitively.
-func (l *linter) functions() []uint32 {
-	out := []uint32{l.g.Entry}
-	seen := map[uint32]bool{l.g.Entry: true}
-	for i := 0; i < len(out); i++ {
-		for _, c := range l.g.Callees(out[i]) {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	return out
 }
 
 // checkFunction runs the per-function dataflow-backed checks. isEntry
@@ -408,7 +382,7 @@ func (l *linter) checkSelfModifyingStores() {
 		return false
 	}
 
-	for i, entry := range l.functions() {
+	for i, entry := range subset.Functions(l.g) {
 		ivEntry := dataflow.UnknownEntry()
 		if i == 0 {
 			for r, iv := range l.conf.EntryRegs {

@@ -1,18 +1,36 @@
 package qta_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/decode"
 	"repro/internal/emu"
 	"repro/internal/flow"
 	"repro/internal/isa"
 	"repro/internal/qta"
 	"repro/internal/timing"
+	"repro/internal/vp"
 	"repro/internal/wcet"
 	"repro/internal/workloads"
 )
+
+// analyze runs the flow's static analysis over src with the given loop
+// bounds and no inference.
+func analyze(t *testing.T, src string, prof *timing.Profile, bounds map[string]int) *flow.Analysis {
+	t.Helper()
+	prog, err := asm.AssembleAt(vp.Prelude+src, vp.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := flow.Analyze(context.Background(), prog, prof, bounds, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 // TestSoundnessAcrossAllWorkloads is the headline property of the whole
 // flow (experiment E2's invariant): for every workload and every timing
@@ -22,7 +40,7 @@ func TestSoundnessAcrossAllWorkloads(t *testing.T) {
 	for _, prof := range profiles {
 		for _, w := range workloads.All() {
 			t.Run(prof.Name()+"/"+w.Name, func(t *testing.T) {
-				res, err := flow.RunQTA(w, prof)
+				res, err := flow.RunQTA(context.Background(), w, prof, asm.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -45,10 +63,7 @@ func TestVisitCountsMatchLoopBounds(t *testing.T) {
 	if !ok {
 		t.Fatal("xtea missing")
 	}
-	a, err := flow.Analyze(w.Source, timing.EdgeSmall(), w.LoopBounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, w.Source, timing.EdgeSmall(), w.LoopBounds)
 	q := qta.New(a.Annotated)
 	if _, stop, err := flow.RunWith(w, timing.EdgeSmall(), q); err != nil || stop.Reason != emu.StopExit {
 		t.Fatalf("run: %v %v", stop, err)
@@ -63,7 +78,7 @@ func TestVisitCountsMatchLoopBounds(t *testing.T) {
 // and very few unannotated transitions.
 func TestCoverageAndMissingTransitions(t *testing.T) {
 	for _, w := range workloads.All() {
-		res, err := flow.RunQTA(w, timing.EdgeSmall())
+		res, err := flow.RunQTA(context.Background(), w, timing.EdgeSmall(), asm.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -96,10 +111,7 @@ func TestResultString(t *testing.T) {
 
 func TestAnalyzerProfileOutput(t *testing.T) {
 	w, _ := workloads.ByName("sort")
-	a, err := flow.Analyze(w.Source, timing.Unit(), w.LoopBounds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, w.Source, timing.Unit(), w.LoopBounds)
 	q := qta.New(a.Annotated)
 	if _, _, err := flow.RunWith(w, timing.Unit(), q); err != nil {
 		t.Fatal(err)
@@ -159,7 +171,7 @@ func TestUnannotatedTransitionFallback(t *testing.T) {
 // should show QTA strictly above dynamic.
 func TestPessimismGapOnEarlyOutCores(t *testing.T) {
 	w, _ := workloads.ByName("matmul")
-	res, err := flow.RunQTA(w, timing.EdgeSmall())
+	res, err := flow.RunQTA(context.Background(), w, timing.EdgeSmall(), asm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +200,7 @@ handler:
 	csrw mepc, t1
 	mret
 `
-	a, err := flow.Analyze(src, timing.EdgeSmall(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, src, timing.EdgeSmall(), nil)
 	q := qta.New(a.Annotated)
 	w := workloads.Workload{Name: "trapdemo", Source: src, Budget: 1000, Expect: 1}
 	if _, stop, err := flow.RunWith(w, timing.EdgeSmall(), q); err != nil || stop.Reason != emu.StopExit {
@@ -216,15 +225,12 @@ func TestUnderDeclaredBoundIsDetected(t *testing.T) {
 		lied[k] = v
 	}
 	lied["round"] = 4 // the real trip count is 32
-	a, err := flow.Analyze(w.Source, timing.EdgeSmall(), lied)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := analyze(t, w.Source, timing.EdgeSmall(), lied)
 	q := qta.New(a.Annotated)
 	if _, stop, err := flow.RunWith(w, timing.EdgeSmall(), q); err != nil || stop.Reason != emu.StopExit {
 		t.Fatalf("%v %v", stop, err)
 	}
-	p, _, err := flow.Run(w, timing.EdgeSmall())
+	p, _, err := flow.RunWith(w, timing.EdgeSmall())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +255,7 @@ func TestSoundnessOnCompressedBuilds(t *testing.T) {
 			t.Fatalf("%s missing", name)
 		}
 		for _, prof := range []*timing.Profile{timing.EdgeSmall(), timing.EdgeCache()} {
-			res, err := flow.RunQTACompressed(w, prof)
+			res, err := flow.RunQTA(context.Background(), w, prof, asm.Options{Compress: true})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, prof.Name(), err)
 			}

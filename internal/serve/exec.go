@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cfg"
 	"repro/internal/emu"
 	"repro/internal/fault"
 	"repro/internal/flow"
@@ -18,13 +17,6 @@ import (
 	"repro/internal/wcet"
 	"repro/internal/workloads"
 )
-
-// parseEngine maps the request's engine name to the emu engine, through
-// the centralized name list (emu.ParseEngine) so the service accepts
-// exactly the spellings the CLIs do.
-func parseEngine(name string) (emu.Engine, error) {
-	return emu.ParseEngine(name)
-}
 
 // binKey identifies one guest binary under one execution specialization:
 // jobs agreeing on the key share the compiled translation pool, and
@@ -97,14 +89,6 @@ func (j *Job) newPlatform() (*vp.Platform, error) {
 	return p, nil
 }
 
-// codeClean reports whether the run left its translated code bytes
-// pristine (no store into translated code, no translation over a
-// written page) — the same gate fault campaigns apply before publishing
-// a pool.
-func codeClean(p *vp.Platform) bool {
-	return p.Machine.CodeWrites() == 0 && !p.Machine.CodePagesDirty()
-}
-
 // RunResult is the payload of a finished "run" job.
 type RunResult struct {
 	Reason string `json:"reason"`
@@ -139,7 +123,7 @@ func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return res, err
 	}
-	if pool == nil && codeClean(p) {
+	if pool == nil && p.Machine.CodeClean() {
 		built := p.Machine.BuildTBPool()
 		e.mu.Lock()
 		if e.pool == nil {
@@ -303,27 +287,13 @@ type WCETResult struct {
 	Annotated *wcet.Annotated `json:"annotated"`
 }
 
-// analyze builds the CFG and runs the cancellable WCET analysis.
-func (j *Job) analyze(ctx context.Context) (*wcet.Annotated, error) {
-	g, err := cfg.Build(j.prog.Bytes, j.prog.Org, j.prog.Entry)
-	if err != nil {
-		return nil, err
-	}
-	infer := j.req.InferBounds == nil || *j.req.InferBounds
-	return wcet.AnalyzeContext(ctx, g, wcet.Config{
-		Profile:     j.profile,
-		Bounds:      j.req.Bounds,
-		Symbols:     j.prog.Symbols,
-		InferBounds: infer,
-	})
-}
-
 // execWCET runs the static WCET analysis.
 func (s *Server) execWCET(ctx context.Context, j *Job) (any, error) {
-	an, err := j.analyze(ctx)
+	a, err := flow.Analyze(ctx, j.prog, j.profile, j.req.Bounds, j.infer)
 	if err != nil {
 		return nil, err
 	}
+	an := a.Annotated
 	return WCETResult{WCET: an.WCET, Blocks: len(an.Blocks), Edges: len(an.Edges), Annotated: an}, nil
 }
 
@@ -344,7 +314,7 @@ type QTAResult struct {
 
 // execQTA runs static analysis plus the timing-annotated co-simulation.
 func (s *Server) execQTA(ctx context.Context, j *Job) (any, error) {
-	an, err := j.analyze(ctx)
+	a, err := flow.Analyze(ctx, j.prog, j.profile, j.req.Bounds, j.infer)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +322,7 @@ func (s *Server) execQTA(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return nil, Transient(err)
 	}
-	q, stop, err := qta.CoSim(ctx, an, p, j.budget)
+	q, stop, err := qta.CoSim(ctx, a.Annotated, p, j.budget)
 	if err != nil {
 		return nil, err
 	}

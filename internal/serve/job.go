@@ -155,6 +155,7 @@ type Job struct {
 	engine  emu.Engine
 	budget  uint64
 	timeout time.Duration
+	infer   bool // wcet/qta: infer missing loop bounds (unset in the request means true)
 
 	key      string // idempotency key, "" when none
 	replayed bool   // restored from the journal (terminal stub)

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/emu"
 	"repro/internal/obs"
 	"repro/internal/serve/store"
 	"repro/internal/timing"
@@ -306,7 +307,7 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown profile %q", profName)
 	}
-	engine, err := parseEngine(req.Engine)
+	engine, err := emu.ParseEngine(req.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -336,6 +337,7 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 		engine:    engine,
 		budget:    req.Budget,
 		timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
+		infer:     req.InferBounds == nil || *req.InferBounds,
 		key:       req.IdempotencyKey,
 		state:     StateQueued,
 		submitted: time.Now(),

@@ -126,6 +126,62 @@ func TestAnalysisJobTypes(t *testing.T) {
 	}
 }
 
+// indirectCallSource calls its helper through a register (la + jalr):
+// only the closed interprocedural graph of subset.Resolve sees the call.
+const indirectCallSource = `
+_start:
+	li   a0, 0
+	la   t0, helper
+	jalr ra, t0, 0
+	li   t6, SYSCON_EXIT
+	sw   a0, 0(t6)
+1:	j 1b
+helper:
+	addi a0, a0, 42
+	ret
+`
+
+// The wcet and qta jobs analyze the graph the flow analyzes: the
+// indirect call is bounded with the flow's WCET, and the co-simulation
+// over it is sound.
+func TestAnalysisJobsResolveIndirectCalls(t *testing.T) {
+	prog, err := asm.AssembleAt(vp.Prelude+indirectCallSource, vp.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flow.Analyze(context.Background(), prog, timing.EdgeSmall(), nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Annotated.WCET != 19 {
+		t.Fatalf("flow WCET %d on edge-small, want 19", want.Annotated.WCET)
+	}
+	s := newServer(t, Config{Workers: 1})
+	for _, typ := range []string{"wcet", "qta"} {
+		st, err := s.Submit(Request{Type: typ, Source: indirectCallSource, Budget: 1000})
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		st = wait(t, s, st.ID)
+		if st.State != StateDone {
+			t.Fatalf("%s job state %s (err %q)", typ, st.State, st.Error)
+		}
+		_, res, _ := s.Result(st.ID)
+		switch r := res.(type) {
+		case WCETResult:
+			if r.WCET != want.Annotated.WCET {
+				t.Errorf("wcet job bound %d, flow bound %d", r.WCET, want.Annotated.WCET)
+			}
+		case QTAResult:
+			if !r.Sound || r.StaticWCET != want.Annotated.WCET || r.StopReason != "exit" {
+				t.Errorf("qta job %+v, want a sound exit under static bound %d", r, want.Annotated.WCET)
+			}
+		default:
+			t.Fatalf("%s result type %T", typ, res)
+		}
+	}
+}
+
 func TestSubsetJob(t *testing.T) {
 	s := newServer(t, Config{Workers: 1})
 	st, err := s.Submit(Request{Type: "subset", Source: src(t, "xtea")})

@@ -1,15 +1,16 @@
 package torture_test
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/flow"
 	"repro/internal/isa"
 	"repro/internal/timing"
 	"repro/internal/torture"
 	"repro/internal/vp"
-	"repro/internal/workloads"
 )
 
 // runProgram assembles and executes a generated program, returning the
@@ -74,33 +75,44 @@ func TestISASubsetting(t *testing.T) {
 
 // The generator's loop bounds must make every generated program
 // analyzable: the full static WCET flow runs and its bound covers the
-// observed dynamic time (torture as WCET stress test).
+// observed dynamic time (torture as WCET stress test). The inference-only
+// arm drops the exported bounds and lets the interval analysis derive
+// them: it must reach the very same WCET, so it too covers the dynamic
+// time.
 func TestWCETBoundsGeneratedPrograms(t *testing.T) {
+	prof := timing.EdgeSmall()
 	for seed := int64(0); seed < 15; seed++ {
 		p := torture.Generate(torture.Config{Seed: seed, Insts: 150, ISA: isa.RV32IM})
-		w := workloads.Workload{
-			Name:       "torture",
-			Source:     p.Source,
-			Budget:     p.Budget,
-			LoopBounds: p.LoopBounds,
+		prog, err := asm.AssembleAt(vp.Prelude+p.Source, vp.RAMBase)
+		if err != nil {
+			t.Fatalf("seed %d: assemble: %v", seed, err)
 		}
-		a, err := flow.Analyze(w.Source, timing.EdgeSmall(), w.LoopBounds)
+		explicit, err := flow.Analyze(context.Background(), prog, prof, p.LoopBounds, false)
 		if err != nil {
 			t.Fatalf("seed %d: analyze: %v", seed, err)
 		}
-		pl, err := vp.New(vp.Config{Profile: timing.EdgeSmall()})
+		inferred, err := flow.Analyze(context.Background(), prog, prof, nil, true)
+		if err != nil {
+			t.Fatalf("seed %d: analyze with inferred bounds: %v", seed, err)
+		}
+		pl, err := vp.New(vp.Config{Profile: prof})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pl.LoadProgram(a.Program); err != nil {
+		if err := pl.LoadProgram(prog); err != nil {
 			t.Fatal(err)
 		}
-		stop := pl.Run(w.Budget)
+		stop := pl.Run(p.Budget)
 		if stop.Reason != emu.StopExit {
 			t.Fatalf("seed %d: %v", seed, stop)
 		}
-		if a.Annotated.WCET < pl.Machine.Hart.Cycle {
-			t.Errorf("seed %d: WCET %d < dynamic %d", seed, a.Annotated.WCET, pl.Machine.Hart.Cycle)
+		dyn := pl.Machine.Hart.Cycle
+		if explicit.Annotated.WCET < dyn {
+			t.Errorf("seed %d: WCET %d < dynamic %d", seed, explicit.Annotated.WCET, dyn)
+		}
+		if got := inferred.Annotated.WCET; got != explicit.Annotated.WCET || got < dyn {
+			t.Errorf("seed %d: inferred-bound WCET %d, want the explicit-bound %d (dynamic %d)",
+				seed, got, explicit.Annotated.WCET, dyn)
 		}
 	}
 }

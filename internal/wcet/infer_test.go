@@ -302,7 +302,7 @@ func TestInferenceNeverLoosensWorkloadBounds(t *testing.T) {
 
 // Acceptance check for the interval inferencer: loops that previously
 // required explicit Bounds entries (up-counting or blt-terminated, which
-// the legacy down-count matcher cannot handle) are now bounded
+// a down-count-only matcher cannot handle) are now bounded
 // automatically, with the program WCET unchanged.
 func TestIntervalInferenceReplacesAnnotations(t *testing.T) {
 	cases := []struct {

@@ -29,11 +29,10 @@ type Config struct {
 	// inference must appear here.
 	Bounds map[string]int
 
-	// InferBounds enables automatic bound derivation: first the
-	// canonical down-counting matcher (see inferBound), then the
-	// interval-analysis trip counts (dataflow.InferLoopBounds) for
-	// up-counting, strided, and compare-terminated loops. Explicit
-	// Bounds entries always win.
+	// InferBounds enables automatic bound derivation for the loops
+	// Bounds does not cover: the interval-analysis trip counts of
+	// dataflow.InferLoopBounds (down- and up-counting, strided, and
+	// compare-terminated loops). Explicit Bounds entries always win.
 	InferBounds bool
 
 	// Symbols maps labels to addresses, used to resolve Bounds (and to
@@ -199,9 +198,6 @@ func (a *analysis) functionWCET(entry uint32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Automatic bounds from the interval analysis (counted loops the
-	// legacy down-count matcher cannot see: up-counters, non-unit
-	// strides, blt/bge/bltu/bgeu exits).
 	var auto map[uint32]int
 	if a.conf.InferBounds && len(loops) > 0 {
 		auto = dataflow.InferLoopBounds(a.g, entry, loops)
@@ -263,9 +259,8 @@ func (a *analysis) functionWCET(entry uint32) (uint64, error) {
 }
 
 // boundFor resolves the iteration bound of a loop: explicit flow facts
-// first, then (if enabled) automatic inference — the legacy down-count
-// matcher before the interval-based bounds in auto, so its results can
-// never loosen.
+// first, then the interval-inferred bounds in auto (empty unless
+// inference is enabled).
 func (a *analysis) boundFor(l *cfg.Loop, auto map[uint32]int) (int, error) {
 	head := l.Head
 	for label, bound := range a.conf.Bounds {
@@ -276,13 +271,8 @@ func (a *analysis) boundFor(l *cfg.Loop, auto map[uint32]int) (int, error) {
 			return bound, nil
 		}
 	}
-	if a.conf.InferBounds {
-		if bound, ok := a.inferBound(l); ok {
-			return bound, nil
-		}
-		if bound, ok := auto[head]; ok {
-			return bound, nil
-		}
+	if bound, ok := auto[head]; ok {
+		return bound, nil
 	}
 	name := "?"
 	var bestAddr uint32

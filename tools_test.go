@@ -194,6 +194,28 @@ func TestToolchainEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("cfg-indirect-call", func(t *testing.T) {
+		// A call through a register (la + jalr) is an edge of the closed
+		// graph, so the helper is a block, not unreachable code.
+		prog := filepath.Join(work, "icall.s")
+		icall := "_start:\n\tli a0, 0\n\tla t0, helper\n\tjalr ra, t0, 0\n" +
+			"\tli t6, SYSCON_EXIT\n\tsw a0, 0(t6)\n1:\tj 1b\n" +
+			"helper:\n\taddi a0, a0, 42\n\tret\n"
+		if err := os.WriteFile(prog, []byte(icall), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := runTool(t, filepath.Join(bin, "s4e-cfg"), "-annotate", prog)
+		if code != 0 {
+			t.Fatalf("s4e-cfg -annotate (%d):\n%s", code, out)
+		}
+		if !strings.Contains(out, "helper:") || !strings.Contains(out, `label="call"`) {
+			t.Errorf("helper missing from the annotated graph:\n%s", out)
+		}
+		if strings.Contains(out, "unreachable") {
+			t.Errorf("unreachable finding on a resolved call:\n%s", out)
+		}
+	})
+
 	t.Run("lint", func(t *testing.T) {
 		// The task program is clean at the definite level; its trailing
 		// spin loop is reported as a possible finding only.
@@ -264,6 +286,15 @@ func TestToolchainEndToEnd(t *testing.T) {
 		out, code = runTool(t, filepath.Join(bin, "s4e-cov"), "-isa", "rv32im", "-ext", src)
 		if code != 0 || !strings.Contains(out, "M ") {
 			t.Fatalf("s4e-cov -ext missing group rows (%d):\n%s", code, out)
+		}
+		// s4e-cov accepts every ISA name s4e-run does.
+		for _, name := range []string{"rv32imfc", "rv32full", "RV32IM"} {
+			if out, code := runTool(t, filepath.Join(bin, "s4e-cov"), "-isa", name, src); code != 0 {
+				t.Errorf("s4e-cov -isa %s (%d):\n%s", name, code, out)
+			}
+			if out, code := runTool(t, filepath.Join(bin, "s4e-run"), "-isa", name, src); code != 136&0x7f {
+				t.Errorf("s4e-run -isa %s (%d):\n%s", name, code, out)
+			}
 		}
 	})
 
