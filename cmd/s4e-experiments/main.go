@@ -1,5 +1,5 @@
-// Command s4e-experiments regenerates the evaluation tables (E1-E7 and
-// E9 in EXPERIMENTS.md).
+// Command s4e-experiments regenerates the deterministic evaluation
+// tables (E1, E2, E4, E5, E7 and E9 in EXPERIMENTS.md).
 //
 // Usage:
 //

@@ -43,7 +43,6 @@ func main() {
 	blockProfile := flag.Bool("blockprofile", false, "print the per-block visit profile")
 	metricsPath := flag.String("metrics", "", "write analysis timing and engine metrics to `file` (.json for JSON, - for stdout, else Prometheus text)")
 	tracePath := flag.String("trace", "", "write structured trace events (JSONL) to `file`")
-	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
 	irq := flag.Bool("irq", false, "interrupt-response-time qualification over the named interrupt workloads")
 	samples := flag.Int("samples", 32, "adversarial trigger points per workload (-irq)")
 	seed := flag.Uint64("seed", 1, "trigger-jitter seed (-irq)")
@@ -117,7 +116,7 @@ func main() {
 	}
 	tr.Emit("qta-start", "prog", flag.Arg(0), "annot", name, "blocks", len(an.Blocks))
 	runStart := time.Now()
-	stop := run(p, *budget, *progress)
+	stop := p.Run(*budget)
 	runSecs := time.Since(runStart).Seconds()
 	if stop.Reason != emu.StopExit && stop.Reason != emu.StopEbreak {
 		fatal(fmt.Errorf("program ended with %v", stop))
@@ -149,39 +148,6 @@ func main() {
 		if err := closeTrace(); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-// run executes the program, optionally in budget chunks with a live
-// progress line between them.
-func run(p *vp.Platform, budget uint64, progress bool) emu.StopInfo {
-	if !progress {
-		return p.Run(budget)
-	}
-	const chunk = 50_000_000
-	start := time.Now()
-	for {
-		step := uint64(chunk)
-		if budget > 0 {
-			rem := budget - p.Machine.Hart.Instret
-			if rem == 0 {
-				return emu.StopInfo{Reason: emu.StopBudget, PC: p.Machine.Hart.PC}
-			}
-			if rem < step {
-				step = rem
-			}
-		}
-		stop := p.Run(step)
-		done := p.Machine.Hart.Instret
-		if stop.Reason != emu.StopBudget || (budget > 0 && done >= budget) {
-			return stop
-		}
-		secs := time.Since(start).Seconds()
-		mips := 0.0
-		if secs > 0 {
-			mips = float64(done) / 1e6 / secs
-		}
-		fmt.Fprintf(os.Stderr, "s4e-qta: %d insts (%.0f MIPS)\n", done, mips)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -35,7 +34,6 @@ func main() {
 	stats := flag.Bool("stats", true, "print run statistics")
 	metricsPath := flag.String("metrics", "", "write engine/bus metrics to `file` after the run (.json for JSON, - for stdout, else Prometheus text)")
 	tracePath := flag.String("trace", "", "write structured trace events (JSONL) to `file`")
-	progress := flag.Bool("progress", false, "print a periodic progress line to stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof) to `file`")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -97,7 +95,7 @@ func main() {
 		fatal(err)
 	}
 	tr.Emit("run-start", "prog", in, "budget", *budget, "engine", *engName, "profile", *profName)
-	stop := run(p, *budget, *progress)
+	stop := p.Run(*budget)
 	if err := stopProfile(); err != nil {
 		fatal(err)
 	}
@@ -129,40 +127,6 @@ func main() {
 			code = 1
 		}
 		os.Exit(code)
-	}
-}
-
-// run executes the program, optionally in chunks with a live progress
-// line between them (budget stops are resumable, so chunking does not
-// change the architectural result).
-func run(p *vp.Platform, budget uint64, progress bool) emu.StopInfo {
-	if !progress {
-		return p.Run(budget)
-	}
-	const chunk = 50_000_000
-	start := time.Now()
-	for {
-		step := uint64(chunk)
-		if budget > 0 {
-			rem := budget - p.Machine.Hart.Instret
-			if rem == 0 {
-				return emu.StopInfo{Reason: emu.StopBudget, PC: p.Machine.Hart.PC}
-			}
-			if rem < step {
-				step = rem
-			}
-		}
-		stop := p.Run(step)
-		done := p.Machine.Hart.Instret
-		if stop.Reason != emu.StopBudget || (budget > 0 && done >= budget) {
-			return stop
-		}
-		secs := time.Since(start).Seconds()
-		mips := 0.0
-		if secs > 0 {
-			mips = float64(done) / 1e6 / secs
-		}
-		fmt.Fprintf(os.Stderr, "s4e-run: %d insts (%.0f MIPS)\n", done, mips)
 	}
 }
 

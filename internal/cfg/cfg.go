@@ -382,13 +382,14 @@ func (g *Graph) Callees(entry uint32) []uint32 {
 
 // DOT renders the graph in Graphviz format, with optional symbol names.
 func (g *Graph) DOT(symbols map[uint32]string) string {
-	return g.DOTAnnotated(symbols, nil)
+	return g.DOTAnnotated(symbols, nil, nil)
 }
 
 // DOTAnnotated renders the graph in Graphviz format with extra
 // annotation lines appended to each block's label (keyed by block start
-// address): loop facts, inferred bounds, lint findings.
-func (g *Graph) DOTAnnotated(symbols map[uint32]string, notes map[uint32][]string) string {
+// address): loop facts, inferred bounds, lint findings. graphNotes, the
+// notes that belong to no block, become the graph's own label.
+func (g *Graph) DOTAnnotated(symbols map[uint32]string, notes map[uint32][]string, graphNotes []string) string {
 	var sb strings.Builder
 	sb.WriteString("digraph cfg {\n  node [shape=box fontname=monospace];\n")
 	for _, start := range g.Order {
@@ -410,6 +411,9 @@ func (g *Graph) DOTAnnotated(symbols map[uint32]string, notes map[uint32][]strin
 		if b.Term == TermCall && b.CallTarget != 0 {
 			fmt.Fprintf(&sb, "  b%x -> b%x [style=dashed label=\"call\"];\n", start, b.CallTarget)
 		}
+	}
+	if len(graphNotes) > 0 {
+		fmt.Fprintf(&sb, "  label=\"# %s\\l\";\n  labeljust=l;\n", strings.Join(graphNotes, "\\l# "))
 	}
 	sb.WriteString("}\n")
 	return sb.String()

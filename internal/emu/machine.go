@@ -282,14 +282,11 @@ type Machine struct {
 
 	// excTaken counts synchronous exceptions taken. An instruction that
 	// raises one is attempted but not retired, and the budget counts
-	// attempted instructions (see attempted).
+	// attempted instructions (see Attempted).
 	excTaken uint64
 
-	// pool is the attached shared translation pool (nil if none) and
-	// poolGen the pool generation observed at attach time; a lookup only
-	// trusts the pool while the generations still agree.
-	pool    *TBPool
-	poolGen uint64
+	// pool is the attached shared translation pool (nil if none).
+	pool *TBPool
 
 	// jmp is the direct-mapped jump cache in front of the tbs map.
 	jmp [jmpCacheSize]*tb
@@ -782,7 +779,7 @@ type EngineStats struct {
 	// OverlayCompiles counts private translations of a pc the pool does
 	// cover but could not serve — the bytes under the block were written
 	// since the last pristine rewind (a code-mutating fault, a store into
-	// code) or the pool generation went stale.
+	// code).
 	OverlayCompiles uint64
 	// TracesFormed counts superblock traces fused from hot block paths
 	// by this machine (pool adoptions are counted separately).
@@ -932,7 +929,7 @@ func (m *Machine) translate(pc uint32) (*tb, *mem.Fault) {
 	m.stats.TBsCompiled++
 	if p := m.activePool(); p != nil {
 		// The pool covers this pc but could not serve it (mutated bytes
-		// under the block, stale generation): this translation is a
+		// under the block): this translation is a
 		// private overlay compile on top of the shared pool.
 		if _, ok := p.blocks[pc]; ok {
 			m.stats.OverlayCompiles++
@@ -1087,7 +1084,8 @@ func (m *Machine) trap(cause, tval, pc uint32) {
 }
 
 // Run executes until the machine stops or the instruction budget is
-// exhausted. budget 0 means unlimited (dangerous with diverging code).
+// exhausted. The budget counts attempted instructions (see Attempted);
+// budget 0 means unlimited (dangerous with diverging code).
 // The engines are architecturally equivalent: same Instret, Cycle,
 // registers, memory and traps for any program.
 func (m *Machine) Run(budget uint64) StopInfo {
@@ -1096,6 +1094,13 @@ func (m *Machine) Run(budget uint64) StopInfo {
 	}
 	return m.runSuperblock(budget)
 }
+
+// Attempted counts the instructions the machine has attempted: retired
+// ones plus those that raised a synchronous exception. It is the unit of
+// Run's budget, so a caller that splits one budget across several Runs
+// charges each the difference of this, not of Hart.Instret; compiled
+// code, which only learns the count after the fact, does the same.
+func (m *Machine) Attempted() uint64 { return m.Hart.Instret + m.excTaken }
 
 // finishRun returns the stop that ended a Run. A budget stop is
 // resumable: it is cleared so Run can be called again.

@@ -1,8 +1,6 @@
 package emu
 
 import (
-	"sync/atomic"
-
 	"repro/internal/isa"
 	"repro/internal/timing"
 )
@@ -13,9 +11,9 @@ import (
 // without sharing, every worker compiles its own private copy of the
 // same working set — pure duplicated warmup that grows linearly with the
 // worker count. A TBPool freezes the compiled state of one machine
-// (typically the golden run's) into an immutable, generation-tagged map
-// of tbCode blocks that any number of machines can attach and adopt
-// blocks from concurrently, read-only.
+// (typically the golden run's) into an immutable map of tbCode blocks
+// that any number of machines can attach and adopt blocks from
+// concurrently, read-only.
 //
 // Validity contract. A pooled block was compiled from the pool image:
 // the RAM bytes the donor machine translated. An attached machine may
@@ -39,12 +37,7 @@ import (
 // Adopted blocks are wrapped in a private tb (per-machine chain links)
 // and inserted into the machine's private cache, so store-to-code
 // invalidation, jump caching and block chaining treat them exactly like
-// privately compiled blocks. Invalidate bumps the pool generation:
-// machines stop adopting new blocks immediately (the generation check in
-// the lookup path), while already-adopted blocks remain valid until the
-// owning machine's own invalidation — they were certified against the
-// image at adoption time and per-machine invalidation rules keep them
-// sound from there.
+// privately compiled blocks.
 
 // TBPool is a read-only pool of compiled translation blocks shared
 // across machines. Build one with Machine.BuildTBPool after a warmup run
@@ -52,12 +45,10 @@ import (
 // Machine.AttachTBPool. All methods are safe for concurrent use; the
 // block map is immutable after construction.
 type TBPool struct {
-	gen    atomic.Uint64
 	prof   *timing.Profile
 	ext    isa.ExtSet
 	sub    isa.OpSet
 	blocks map[uint32]*tbCode
-	lo, hi uint32 // address range covered by pooled blocks
 
 	// traces is the frozen-superblock tier: compiled traces the donor
 	// machine formed (superblock engine only), published read-only so
@@ -91,7 +82,6 @@ func (m *Machine) BuildTBPool() *TBPool {
 		ext:    m.ISA,
 		sub:    m.subset,
 		blocks: make(map[uint32]*tbCode, len(m.tbs)),
-		lo:     ^uint32(0),
 	}
 	for pc, t := range m.tbs {
 		if t.prof != m.Profile || t.ext != m.ISA || t.sub != m.subset {
@@ -110,12 +100,6 @@ func (m *Machine) BuildTBPool() *TBPool {
 			t.tbCode.compile()
 		}
 		p.blocks[pc] = t.tbCode
-		if pc < p.lo {
-			p.lo = pc
-		}
-		if t.end > p.hi {
-			p.hi = t.end
-		}
 	}
 	for pc, tr := range m.traces {
 		if tr.prof != m.Profile || tr.ext != m.ISA || tr.sub != m.subset {
@@ -140,47 +124,22 @@ func (p *TBPool) Size() int { return len(p.blocks) }
 // Traces returns the number of traces in the frozen-superblock tier.
 func (p *TBPool) Traces() int { return len(p.traces) }
 
-// CodeRange returns the address range covered by pooled blocks; lo > hi
-// means the pool is empty.
-func (p *TBPool) CodeRange() (lo, hi uint32) { return p.lo, p.hi }
-
-// Generation returns the pool's current generation tag.
-func (p *TBPool) Generation() uint64 { return p.gen.Load() }
-
-// Invalidate retires the pool's contents by bumping its generation:
-// the generation check fails for every machine — attached now or later —
-// so no further blocks are adopted. Blocks a machine already adopted
-// stay with that machine until its own invalidation (they were validated
-// against the image at adoption time).
-func (p *TBPool) Invalidate() { p.gen.Add(1) }
-
 // AttachTBPool attaches a shared translation pool to the machine.
 // Lookups consult the pool after the private cache; blocks are adopted
-// only while the machine's profile/ISA match the pool's specialization,
-// the pool has not been invalidated, and the block's bytes are untouched
-// per the dirty-state check (DirtyOverlaps). Attaching nil detaches.
-func (m *Machine) AttachTBPool(p *TBPool) {
-	m.pool = p
-	// Pools are born at generation 0 and an invalidation is forever, so
-	// the recorded generation is the birth one — a machine attaching
-	// after Invalidate must not adopt retired blocks either.
-	m.poolGen = 0
-}
-
-// DetachTBPool detaches the shared pool; already-adopted blocks remain
-// in the private cache.
-func (m *Machine) DetachTBPool() { m.pool = nil }
+// only while the machine's profile/ISA match the pool's specialization
+// and the block's bytes are untouched per the dirty-state check
+// (DirtyOverlaps). Attaching nil detaches; already-adopted blocks
+// remain in the private cache.
+func (m *Machine) AttachTBPool(p *TBPool) { m.pool = p }
 
 // TBPoolAttached reports whether a shared pool is attached.
 func (m *Machine) TBPoolAttached() bool { return m.pool != nil }
 
-// activePool returns the attached pool if it is currently usable for
-// this machine: generation agrees and the machine's specialization
-// matches the pool's.
+// activePool returns the attached pool if it is usable for this
+// machine: the machine's specialization matches the pool's.
 func (m *Machine) activePool() *TBPool {
 	p := m.pool
-	if p == nil || p.prof != m.Profile || p.ext != m.ISA ||
-		p.sub != m.subset || p.gen.Load() != m.poolGen {
+	if p == nil || p.prof != m.Profile || p.ext != m.ISA || p.sub != m.subset {
 		return nil
 	}
 	return p

@@ -109,34 +109,6 @@ func TestTBPoolOverlayOnMutatedCode(t *testing.T) {
 	}
 }
 
-// TestTBPoolGenerationInvalidate: after Invalidate, attached machines
-// stop adopting (generation mismatch) and fall back to private compiles,
-// still producing the correct result.
-func TestTBPoolGenerationInvalidate(t *testing.T) {
-	pool := buildPool(t, poolProg)
-	gen := pool.Generation()
-	pool.Invalidate()
-	if pool.Generation() == gen {
-		t.Fatal("generation did not advance")
-	}
-
-	p := poolPlatform(t, poolProg)
-	p.Machine.AttachTBPool(pool)
-	if stop := p.Run(1_000_000); stop.Reason != emu.StopEbreak {
-		t.Fatalf("run: %v", stop)
-	}
-	if got := p.Machine.Hart.Reg(isa.A0); got != 1275 {
-		t.Errorf("a0 = %d, want 1275", got)
-	}
-	st := p.Machine.Stats()
-	if st.PoolHits != 0 {
-		t.Errorf("adopted %d blocks from an invalidated pool", st.PoolHits)
-	}
-	if st.TBsCompiled == 0 {
-		t.Error("expected private compiles after pool invalidation")
-	}
-}
-
 // TestTBPoolSwitchEngineAdoption: pooled blocks carry precompiled
 // micro-ops but are adoptable by either engine — the decoded metadata
 // drives the switch interpreter unchanged.

@@ -212,12 +212,6 @@ func (m *Machine) chainOK(t *tb, pc uint32) bool {
 		t.ext == m.ISA && t.sub == m.subset
 }
 
-// attempted counts the instructions the machine has attempted: retired
-// ones plus those that raised a synchronous exception. The block loop
-// charges the budget per attempted instruction, so compiled code, which
-// only learns the count after the fact, charges the difference of this.
-func (m *Machine) attempted() uint64 { return m.Hart.Instret + m.excTaken }
-
 // runSuperblock is the compiled engine loop: block lookup and chaining,
 // trace dispatch, hot-block profiling and trace recording. Trace
 // dispatch rides the resolved block (tb.trace), so the hot path pays no
@@ -267,11 +261,11 @@ func (m *Machine) runSuperblock(budget uint64) StopInfo {
 			}
 		case tr != nil:
 			if budget == 0 || left > tr.nInsts {
-				a0 := m.attempted()
+				a0 := m.Attempted()
 				r0, e0 := m.stats.TraceRuns, m.stats.TraceSideExits
 				m.execTrace(tr, budget, left)
 				if budget != 0 {
-					left -= m.attempted() - a0
+					left -= m.Attempted() - a0
 				}
 				cur.trRuns += m.stats.TraceRuns - r0
 				cur.trExits += m.stats.TraceSideExits - e0
@@ -307,12 +301,12 @@ func (m *Machine) runSuperblock(budget uint64) StopInfo {
 			if cur.ops == nil {
 				cur.tbCode.compile()
 			}
-			a0 := m.attempted()
+			a0 := m.Attempted()
 			m.curTB = cur
 			m.runOps(cur.ops)
 			m.curTB = nil
 			if budget != 0 {
-				left -= m.attempted() - a0
+				left -= m.Attempted() - a0
 			}
 		}
 		if m.stop != nil {
@@ -375,7 +369,7 @@ func (m *Machine) traceFor(pc uint32) *traceCode {
 func (m *Machine) execTrace(tr *traceCode, budget, left uint64) {
 	h := &m.Hart
 	m.curTB = tr.span
-	a0 := m.attempted()
+	a0 := m.Attempted()
 	for {
 		if m.runOps(tr.ops) {
 			m.stats.TraceSideExits++
@@ -388,7 +382,7 @@ func (m *Machine) execTrace(tr *traceCode, budget, left uint64) {
 		// Self-looping trace: re-enter without going through the engine
 		// loop. The boundary poll and the budget gate are replayed here
 		// exactly as the outer loop would perform them.
-		if budget != 0 && left-(m.attempted()-a0) <= tr.nInsts {
+		if budget != 0 && left-(m.Attempted()-a0) <= tr.nInsts {
 			break
 		}
 		m.pollInterrupts()

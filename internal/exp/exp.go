@@ -1,7 +1,8 @@
-// Package exp regenerates the evaluation tables: one function per
-// experiment (E1-E7 and E9 in EXPERIMENTS.md), each returning structured
-// rows plus the formatted table the tooling prints. The
-// cmd/s4e-experiments binary is a thin wrapper over this package.
+// Package exp regenerates the deterministic evaluation tables: one
+// function per experiment (E1, E2, E4, E5, E7 and E9 in EXPERIMENTS.md),
+// each returning structured rows plus the formatted table the tooling
+// prints. The cmd/s4e-experiments binary is a thin wrapper over this
+// package.
 package exp
 
 import (
@@ -10,9 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/asm"
 	"repro/internal/cover"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flow"
 	"repro/internal/isa"
-	"repro/internal/plugin"
 	"repro/internal/qta"
 	"repro/internal/suites"
 	"repro/internal/timing"
@@ -76,102 +74,6 @@ func E2QTA(prof *timing.Profile) ([]qta.Result, string, error) {
 			float64(r.QTATime)/float64(r.Dynamic), r.Sound())
 	}
 	return rows, sb.String(), nil
-}
-
-// OverheadRow is one instrumentation-overhead measurement.
-type OverheadRow struct {
-	Program string
-	PlainNS int64 // wall time, plain emulation
-	CountNS int64 // with the counting plugin
-	QTANS   int64 // with the QTA analyzer
-	Insts   uint64
-}
-
-// E3Overhead measures the slowdown of plugin instrumentation and the
-// full QTA co-simulation relative to plain emulation.
-func E3Overhead(prof *timing.Profile) ([]OverheadRow, string, error) {
-	var rows []OverheadRow
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "E3: instrumentation overhead (profile %s)\n", prof.Name())
-	fmt.Fprintf(&sb, "  %-14s %12s %12s %12s %8s %8s\n",
-		"program", "plain", "count-plugin", "qta", "xcount", "xqta")
-	for _, w := range workloads.All() {
-		plain, insts, err := timeRun(w, prof, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		count, _, err := timeRun(w, prof, func() plugin.Plugin { return &plugin.Count{} })
-		if err != nil {
-			return nil, "", err
-		}
-		qtaNS, _, err := timeQTA(w, prof)
-		if err != nil {
-			return nil, "", err
-		}
-		r := OverheadRow{Program: w.Name, PlainNS: plain, CountNS: count, QTANS: qtaNS, Insts: insts}
-		rows = append(rows, r)
-		fmt.Fprintf(&sb, "  %-14s %10dus %10dus %10dus %8.2f %8.2f\n",
-			r.Program, r.PlainNS/1000, r.CountNS/1000, r.QTANS/1000,
-			float64(r.CountNS)/float64(r.PlainNS), float64(r.QTANS)/float64(r.PlainNS))
-	}
-	return rows, sb.String(), nil
-}
-
-func timeRun(w workloads.Workload, prof *timing.Profile, mk func() plugin.Plugin) (int64, uint64, error) {
-	const reps = 5
-	var best int64 = 1 << 62
-	var insts uint64
-	for i := 0; i < reps; i++ {
-		var plugins []plugin.Plugin
-		if mk != nil {
-			plugins = append(plugins, mk())
-		}
-		start := time.Now()
-		p, stop, err := flow.RunWith(w, prof, plugins...)
-		d := time.Since(start).Nanoseconds()
-		if err != nil {
-			return 0, 0, err
-		}
-		if stop.Reason != emu.StopExit {
-			return 0, 0, fmt.Errorf("exp: %s stopped with %v", w.Name, stop)
-		}
-		insts = p.Machine.Hart.Instret
-		if d < best {
-			best = d
-		}
-	}
-	return best, insts, nil
-}
-
-func timeQTA(w workloads.Workload, prof *timing.Profile) (int64, uint64, error) {
-	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
-	if err != nil {
-		return 0, 0, err
-	}
-	a, err := flow.Analyze(context.TODO(), prog, prof, w.LoopBounds, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	const reps = 5
-	var best int64 = 1 << 62
-	var insts uint64
-	for i := 0; i < reps; i++ {
-		q := qta.New(a.Annotated)
-		start := time.Now()
-		p, stop, err := flow.RunWith(w, prof, q)
-		d := time.Since(start).Nanoseconds()
-		if err != nil {
-			return 0, 0, err
-		}
-		if stop.Reason != emu.StopExit {
-			return 0, 0, fmt.Errorf("exp: %s stopped with %v", w.Name, stop)
-		}
-		insts = p.Machine.Hart.Instret
-		if d < best {
-			best = d
-		}
-	}
-	return best, insts, nil
 }
 
 // CoverageRow is one suite's coverage report.
@@ -266,46 +168,6 @@ func E5Faults(workload string, n int) (*fault.Results, string, error) {
 	}
 	return res, fmt.Sprintf("E5: fault classification, workload %s, %d mutants\n%s",
 		workload, res.Total, res.String()), nil
-}
-
-// ThroughputRow is one campaign-scaling measurement.
-type ThroughputRow struct {
-	Workers    int
-	MutantsSec float64
-}
-
-// E6Throughput measures mutant simulations per second against worker
-// count (the fault paper's platform-scaling claim).
-func E6Throughput(workload string, mutants int, workerSteps []int) ([]ThroughputRow, string, error) {
-	w, ok := workloads.ByName(workload)
-	if !ok {
-		return nil, "", fmt.Errorf("exp: unknown workload %q", workload)
-	}
-	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
-	if err != nil {
-		return nil, "", err
-	}
-	tg := &fault.Target{Program: prog, Budget: w.Budget, Sensor: w.Sensor}
-	g, err := fault.RunGolden(tg)
-	if err != nil {
-		return nil, "", err
-	}
-	plan := fault.NewPlan(fault.PlanConfig{Seed: 5, GPRTransient: mutants, GoldenInsts: g.Insts})
-	var rows []ThroughputRow
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "E6: campaign throughput, workload %s, %d mutants\n", workload, mutants)
-	fmt.Fprintf(&sb, "  %8s %14s\n", "workers", "mutants/sec")
-	for _, wk := range workerSteps {
-		start := time.Now()
-		if _, err := fault.Campaign(tg, plan, wk); err != nil {
-			return nil, "", err
-		}
-		d := time.Since(start).Seconds()
-		r := ThroughputRow{Workers: wk, MutantsSec: float64(mutants) / d}
-		rows = append(rows, r)
-		fmt.Fprintf(&sb, "  %8d %14.0f\n", r.Workers, r.MutantsSec)
-	}
-	return rows, sb.String(), nil
 }
 
 // SpeedupRow is one base-vs-BMI kernel comparison.
@@ -407,9 +269,10 @@ func E9Density() ([]DensityRow, string, error) {
 }
 
 // IDs lists the experiment ids All accepts, in the order it runs them.
-// E8 and E10-E13 are measured by the repository benchmark (perfbench)
-// and the go test benchmarks instead.
-var IDs = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e9"}
+// Every one is deterministic. The speed experiments (E3, E6, E8 and
+// E10-E13) are measured by the repository benchmark (perfbench) and the
+// go test benchmarks instead.
+var IDs = []string{"e1", "e2", "e4", "e5", "e7", "e9"}
 
 // ErrUnknownID is wrapped by the error All returns for an id not in IDs.
 var ErrUnknownID = errors.New("unknown experiment id")
@@ -443,13 +306,6 @@ func All(ids []string) (string, error) {
 			add(s)
 		}
 	}
-	if sel("e3") {
-		_, s, err := E3Overhead(timing.EdgeSmall())
-		if err != nil {
-			return "", err
-		}
-		add(s)
-	}
 	if sel("e4") {
 		for _, set := range []isa.ExtSet{isa.RV32IMF, isa.RV32IM} {
 			_, s, err := E4Coverage(set)
@@ -461,15 +317,6 @@ func All(ids []string) (string, error) {
 	}
 	if sel("e5") {
 		_, s, err := E5Faults("xtea", 400)
-		if err != nil {
-			return "", err
-		}
-		add(s)
-	}
-	if sel("e6") {
-		steps := []int{1, 2, 4, runtime.NumCPU()}
-		steps = dedupInts(steps)
-		_, s, err := E6Throughput("pid", 600, steps)
 		if err != nil {
 			return "", err
 		}
@@ -490,15 +337,4 @@ func All(ids []string) (string, error) {
 		add(s)
 	}
 	return sb.String(), nil
-}
-
-func dedupInts(in []int) []int {
-	sort.Ints(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -2,6 +2,9 @@ package exp_test
 
 import (
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -107,9 +110,11 @@ func TestAllSelectsExperiments(t *testing.T) {
 }
 
 func TestAllRejectsUnknownIDs(t *testing.T) {
-	// e8 (emulation speed) is measured by the repository benchmark, so it
-	// is as unknown here as an id that never existed.
-	for _, id := range []string{"e99", "e8"} {
+	// e3, e6 and e8 (instrumentation overhead, campaign throughput and
+	// emulation speed) are measured by the repository benchmark and the
+	// go test benchmarks, so they are as unknown here as an id that
+	// never existed.
+	for _, id := range []string{"e99", "e3", "e6", "e8"} {
 		out, err := exp.All([]string{"e1", id})
 		if !errors.Is(err, exp.ErrUnknownID) {
 			t.Fatalf("All(e1, %s) = %v, want ErrUnknownID", id, err)
@@ -122,5 +127,33 @@ func TestAllRejectsUnknownIDs(t *testing.T) {
 				t.Errorf("error %q does not name valid id %s", err, valid)
 			}
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/all.txt")
+
+// TestAllGolden pins every table s4e-experiments prints: each one is
+// deterministic, so any drift in a regenerated figure is a failure to
+// explain (or to accept with -update).
+func TestAllGolden(t *testing.T) {
+	got, err := exp.All(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "all.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("experiment tables drifted from %s (run with -update to regenerate):\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }

@@ -2,6 +2,7 @@ package flow_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,5 +89,32 @@ func TestAnnotatedDOTNotes(t *testing.T) {
 	}
 	if !strings.Contains(got, "lint possible unbounded-loop") {
 		t.Errorf("unbounded-loop finding not attached:\n%s", got)
+	}
+}
+
+// A finding outside every block (here dead code the jump skips) has no
+// block label to join, so it is listed in the graph's own label.
+func TestAnnotatedDOTUnreachable(t *testing.T) {
+	prog, err := asm.AssembleAt(vp.Prelude+`
+	li   a0, 1
+	j    done
+	addi a0, a0, 1
+done:	ebreak
+`, vp.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := subset.Resolve(prog.Bytes, prog.Org, prog.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := flow.AnnotatedDOT(prog, g, nil)
+	dead := prog.Entry + 8
+	want := fmt.Sprintf("  label=\"# lint definite unreachable @ %08x: instruction is not reachable from the entry point\\l\";\n", dead)
+	if !strings.Contains(got, want) {
+		t.Errorf("annotated DOT lacks the graph-level note %q:\n%s", want, got)
+	}
+	if strings.Contains(got, fmt.Sprintf("%08x: addi", dead)) {
+		t.Errorf("dead instruction drawn as a block:\n%s", got)
 	}
 }

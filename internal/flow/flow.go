@@ -78,9 +78,10 @@ func LintProgram(prog *asm.Program, bounds map[string]int) ([]lint.Finding, erro
 // AnnotatedDOT renders a program's CFG in Graphviz format with static-
 // analysis notes per block: loop heads with their depth and bound
 // (user-supplied or inferred by the interval analysis), and the lint
-// findings that land in the block. It needs no timing profile and does
-// not fail on unbounded loops, so it works on programs the WCET
-// analysis would reject.
+// findings that land in the block. Findings outside every block, such as
+// unreachable code, are listed in one graph-level note. It needs no
+// timing profile and does not fail on unbounded loops, so it works on
+// programs the WCET analysis would reject.
 func AnnotatedDOT(prog *asm.Program, g *cfg.Graph, bounds map[string]int) string {
 	notes := map[uint32][]string{}
 
@@ -109,10 +110,14 @@ func AnnotatedDOT(prog *asm.Program, g *cfg.Graph, bounds map[string]int) string
 			notes[l.Head] = append(notes[l.Head], note)
 		}
 	}
+	var outside []string
 	for _, f := range lint.Graph(g, prog.Lines, LintConfig(prog, bounds)) {
 		blk, ok := g.BlockAt(f.Addr)
 		if !ok {
-			continue // unreachable code has no block to hang the note on
+			// Unreachable code has no block to hang the note on.
+			outside = append(outside,
+				fmt.Sprintf("lint %s %s @ %08x: %s", f.Severity, f.Check, f.Addr, f.Msg))
+			continue
 		}
 		notes[blk.Start] = append(notes[blk.Start],
 			fmt.Sprintf("lint %s %s: %s", f.Severity, f.Check, f.Msg))
@@ -122,7 +127,7 @@ func AnnotatedDOT(prog *asm.Program, g *cfg.Graph, bounds map[string]int) string
 	for n, addr := range prog.Symbols {
 		symByAddr[addr] = n
 	}
-	return g.DOTAnnotated(symByAddr, notes)
+	return g.DOTAnnotated(symByAddr, notes, outside)
 }
 
 // Analyze is the static half of the flow and the one place a program

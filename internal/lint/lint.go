@@ -103,6 +103,9 @@ type linter struct {
 	lines    map[uint32]int
 	conf     Config
 	findings []Finding
+	// reachesFence holds the blocks from which a fence.i is reachable;
+	// nil when the self-modifying store check is off.
+	reachesFence map[uint32]bool
 }
 
 func (l *linter) add(check string, sev Severity, addr uint32, format string, args ...any) {
@@ -116,11 +119,13 @@ func (l *linter) add(check string, sev Severity, addr uint32, format string, arg
 }
 
 func (l *linter) run() {
+	if l.conf.CodeEnd > l.conf.CodeStart {
+		l.reachesFence = fenceReachers(l.g)
+	}
 	for i, entry := range subset.Functions(l.g) {
 		l.checkFunction(entry, i == 0)
 	}
 	l.checkUnreachable()
-	l.checkSelfModifyingStores()
 }
 
 // checkFunction runs the per-function dataflow-backed checks. isEntry
@@ -167,6 +172,7 @@ func (l *linter) checkFunction(entry uint32, isEntry bool) {
 			}
 			if okIv {
 				l.checkAccess(pc, in, ivState)
+				l.checkSelfModifyingStore(u, pc, in, ivState)
 				dataflow.ApplyInst(&ivState, pc, in)
 			}
 			l.checkX0Write(pc, in)
@@ -334,87 +340,69 @@ func (l *linter) checkUnreachable() {
 	}
 }
 
-// checkSelfModifyingStores flags stores whose address range overlaps the
-// code image with no fence.i on any forward path: PR 1's TB invalidation
-// handles this dynamically, but on real silicon the stale-icache hazard
-// is a bug unless followed by fence.i.
-func (l *linter) checkSelfModifyingStores() {
-	if l.conf.CodeEnd <= l.conf.CodeStart {
+// fenceReachers returns the blocks from which a fence.i is reachable,
+// following fallthrough, branch, jump and call edges: a backward search
+// from the blocks that hold one.
+func fenceReachers(g *cfg.Graph) map[uint32]bool {
+	preds := map[uint32][]uint32{}
+	reach := map[uint32]bool{}
+	var work []uint32
+	for _, u := range g.Order {
+		b := g.Blocks[u]
+		for _, s := range b.Succs {
+			preds[s.Addr] = append(preds[s.Addr], u)
+		}
+		if b.Term == cfg.TermCall {
+			if b.CallTarget != 0 {
+				preds[b.CallTarget] = append(preds[b.CallTarget], u)
+			}
+			for _, c := range b.CallTargets {
+				preds[c] = append(preds[c], u)
+			}
+		}
+		for _, in := range b.Insts {
+			if in.Op == isa.OpFENCEI && !reach[u] {
+				reach[u] = true
+				work = append(work, u)
+			}
+		}
+	}
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range preds[u] {
+			if !reach[p] {
+				reach[p] = true
+				work = append(work, p)
+			}
+		}
+	}
+	return reach
+}
+
+// checkSelfModifyingStore flags a store in block u whose address range
+// overlaps the code image with no fence.i on any forward path: the
+// emulator's TB invalidation handles this dynamically, but on real
+// silicon the stale-icache hazard is a bug unless followed by fence.i.
+func (l *linter) checkSelfModifyingStore(u, pc uint32, in decode.Inst, s dataflow.IntervalState) {
+	if l.reachesFence == nil || l.reachesFence[u] {
 		return
 	}
-	// Blocks from which a fence.i is reachable (following fallthrough,
-	// branch, jump, and call edges).
-	fence := map[uint32]bool{}
-	for _, u := range l.g.Order {
-		for _, in := range l.g.Blocks[u].Insts {
-			if in.Op == isa.OpFENCEI {
-				fence[u] = true
-			}
-		}
+	cls := in.Op.Class()
+	width, isAcc := accessWidth(in)
+	if !isAcc || (cls != isa.ClassStore && cls != isa.ClassFPStore) {
+		return
 	}
-	canReachFence := func(from uint32) bool {
-		seen := map[uint32]bool{}
-		stack := []uint32{from}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if fence[u] {
-				return true
-			}
-			if seen[u] {
-				continue
-			}
-			seen[u] = true
-			b := l.g.Blocks[u]
-			if b == nil {
-				continue
-			}
-			for _, s := range b.Succs {
-				stack = append(stack, s.Addr)
-			}
-			if b.Term == cfg.TermCall {
-				if b.CallTarget != 0 {
-					stack = append(stack, b.CallTarget)
-				}
-				stack = append(stack, b.CallTargets...)
-			}
-		}
-		return false
+	addrIv := s.Get(in.Rs1).AddConst(int64(in.Imm))
+	ranges, bounded := addrIv.U32Ranges()
+	if !bounded {
+		return
 	}
-
-	for i, entry := range subset.Functions(l.g) {
-		ivEntry := dataflow.UnknownEntry()
-		if i == 0 {
-			for r, iv := range l.conf.EntryRegs {
-				ivEntry[r] = iv
-			}
-		}
-		ivs := dataflow.Solve(l.g, entry, dataflow.NewIntervalDomain(ivEntry))
-		for _, u := range ivs.Order {
-			b := l.g.Blocks[u]
-			s, ok := ivs.In[u]
-			if !ok {
-				continue
-			}
-			for j, in := range b.Insts {
-				pc := b.Addrs[j]
-				cls := in.Op.Class()
-				if width, isAcc := accessWidth(in); isAcc &&
-					(cls == isa.ClassStore || cls == isa.ClassFPStore) {
-					addrIv := s.Get(in.Rs1).AddConst(int64(in.Imm))
-					if ranges, bounded := addrIv.U32Ranges(); bounded {
-						for _, r := range ranges {
-							if uint64(r[1])+uint64(width) > uint64(l.conf.CodeStart) &&
-								r[0] < l.conf.CodeEnd && !canReachFence(u) {
-								l.add("selfmod-store", Possible, pc,
-									"%s may write the code image (%s) with no fence.i on any following path", in.Op, addrIv)
-								break
-							}
-						}
-					}
-				}
-				dataflow.ApplyInst(&s, pc, in)
-			}
+	for _, r := range ranges {
+		if uint64(r[1])+uint64(width) > uint64(l.conf.CodeStart) && r[0] < l.conf.CodeEnd {
+			l.add("selfmod-store", Possible, pc,
+				"%s may write the code image (%s) with no fence.i on any following path", in.Op, addrIv)
+			return
 		}
 	}
 }

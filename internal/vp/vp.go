@@ -247,12 +247,13 @@ func (p *Platform) Run(budget uint64) emu.StopInfo {
 const runChunk = 2_000_000
 
 // RunContext is Run under a context: the budget is executed in bounded
-// chunks with a cancellation check between them. Budget stops are
-// resumable, so chunking does not change the architectural result — the
-// engine differential tests rely on exactly this property. On
-// cancellation the partial StopInfo (a budget stop at the current PC)
-// is returned together with ctx.Err(); budget 0 means unlimited, which
-// with a cancellable context is safe against diverging guests.
+// chunks with a cancellation check between them. Each chunk is charged
+// in Run's own unit, attempted instructions (emu.Machine.Attempted), and
+// budget stops are resumable, so an uncancelled RunContext(ctx, B)
+// stops where Run(B) does. On cancellation the partial StopInfo (a
+// budget stop at the current PC) is returned together with ctx.Err();
+// budget 0 means unlimited, which with a cancellable context is safe
+// against diverging guests.
 func (p *Platform) RunContext(ctx context.Context, budget uint64) (emu.StopInfo, error) {
 	var done uint64
 	for {
@@ -265,9 +266,9 @@ func (p *Platform) RunContext(ctx context.Context, budget uint64) (emu.StopInfo,
 				step = rem
 			}
 		}
-		before := p.Machine.Hart.Instret
+		before := p.Machine.Attempted()
 		stop := p.Run(step)
-		done += p.Machine.Hart.Instret - before
+		done += p.Machine.Attempted() - before
 		if stop.Reason != emu.StopBudget || (budget != 0 && done >= budget) {
 			return stop, nil
 		}

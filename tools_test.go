@@ -374,10 +374,18 @@ func TestToolchainEndToEnd(t *testing.T) {
 		if out, code := runTool(t, filepath.Join(bin, "s4e-asm"), bad); code == 0 {
 			t.Errorf("bad assembly should fail:\n%s", out)
 		}
-		for _, id := range []string{"e8", "e99"} {
+		for _, id := range []string{"e3", "e6", "e8", "e99"} {
 			out, code := runTool(t, filepath.Join(bin, "s4e-experiments"), "-exp", id)
 			if code != 2 || !strings.Contains(out, "e1, e2") {
 				t.Errorf("s4e-experiments -exp %s: exit %d, want 2 naming the valid ids:\n%s", id, code, out)
+			}
+		}
+		// Only s4e-fault reports live progress; the run tools have no
+		// second run loop to select.
+		for _, tool := range []string{"s4e-run", "s4e-qta"} {
+			out, code := runTool(t, filepath.Join(bin, tool), "-progress", src)
+			if code != 2 || !strings.Contains(out, "-progress") {
+				t.Errorf("%s -progress: exit %d, want 2 for an unknown flag:\n%s", tool, code, out)
 			}
 		}
 	})
