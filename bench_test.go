@@ -92,6 +92,7 @@ func BenchmarkE3_Overhead(b *testing.B) {
 				b.Fatalf("%v %v", stop, err)
 			}
 			insts = p.Machine.Hart.Instret
+			p.Release()
 		}
 		b.ReportMetric(float64(insts), "guest-insts")
 	}

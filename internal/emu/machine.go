@@ -343,6 +343,11 @@ type Machine struct {
 	// only the words the box covers. Empty when no direct RAM is mapped.
 	dirty []uint64
 
+	// written accumulates the dirty bits each ResetStoreWatermark clears,
+	// so written|dirty is every page written since the machine was built
+	// (ForEachWrittenRange). Same shape as dirty.
+	written []uint64
+
 	// stats holds the engine's lifetime performance counters. They are
 	// plain (non-atomic) fields because a Machine is single-threaded;
 	// the increments sit off the per-instruction path (translation,
@@ -400,7 +405,20 @@ func (m *Machine) ensureRAM() {
 		m.ramInit = true
 		pages := (len(m.ram) + DirtyPageSize - 1) / DirtyPageSize
 		m.dirty = make([]uint64, (pages+63)/64)
+		m.written = make([]uint64, len(m.dirty))
 	}
+}
+
+// DetachRAM drops the machine's direct-RAM region, its translations, any
+// attached translation pool and its stop, for a platform whose RAM
+// buffer has been handed back: every later run, fetch, load or store
+// then goes through the bus to the released RAM and panics there,
+// instead of reaching a buffer another platform may own by now.
+func (m *Machine) DetachRAM() {
+	m.InvalidateTBs()
+	m.pool = nil
+	m.stop = nil
+	m.ram, m.ramInit = nil, true
 }
 
 // noteRAMStore folds a RAM data store into the store watermark and the
@@ -475,7 +493,9 @@ func (m *Machine) NoteRAMWriteRange(lo, hi uint32) {
 // ResetStoreWatermark clears the store watermark and the dirty-page
 // bitmap. Since set bits always lie inside the watermark box, only the
 // bitmap words the box covers are cleared — a rewind after a scattered
-// run does not pay a full-bitmap clear, only a full-box one.
+// run does not pay a full-bitmap clear, only a full-box one. The cleared
+// words are first folded into the written-page bitmap, so no store path
+// pays for keeping it.
 func (m *Machine) ResetStoreWatermark() {
 	if m.storeLo < m.storeHi {
 		base := m.ramBase
@@ -489,7 +509,10 @@ func (m *Machine) ResetStoreWatermark() {
 		if lo < hi {
 			first := (lo - base) >> DirtyPageShift >> 6
 			last := (hi - 1 - base) >> DirtyPageShift >> 6
-			clear(m.dirty[first : last+1])
+			for i := first; i <= last; i++ {
+				m.written[i] |= m.dirty[i]
+				m.dirty[i] = 0
+			}
 		}
 	}
 	m.storeLo, m.storeHi = ^uint32(0), 0
@@ -586,6 +609,41 @@ func (m *Machine) ForEachDirtyRange(fn func(lo, hi uint32)) {
 			}
 			run = -1
 		}
+	}
+}
+
+// ForEachWrittenRange calls fn for each maximal run of pages written
+// since the machine was built (written|dirty) as an absolute address
+// range, clamped to the direct-RAM region, in ascending order. Every RAM
+// byte outside these ranges still holds what it held when the machine was
+// built, under the same contract as RestoreReuse: every RAM write is
+// visible to the dirty-state tracking.
+func (m *Machine) ForEachWrittenRange(fn func(lo, hi uint32)) {
+	base, top := uint64(m.ramBase), uint64(m.ramBase)+uint64(len(m.ram))
+	flush := func(first, end int) {
+		lo := base + uint64(first)<<DirtyPageShift
+		hi := min(base+uint64(end)<<DirtyPageShift, top)
+		if lo < hi {
+			fn(uint32(lo), uint32(hi))
+		}
+	}
+	run := -1
+	for i := range m.written {
+		w := m.written[i] | m.dirty[i]
+		if w == 0 && run < 0 {
+			continue
+		}
+		for b := 0; b < 64; b++ {
+			if set := w&(1<<b) != 0; set && run < 0 {
+				run = i*64 + b
+			} else if !set && run >= 0 {
+				flush(run, i*64+b)
+				run = -1
+			}
+		}
+	}
+	if run >= 0 {
+		flush(run, len(m.written)*64)
 	}
 }
 

@@ -259,12 +259,17 @@ func (inj *injector) finish(out Outcome) Outcome {
 
 // RunGolden executes the fault-free program and records its behaviour.
 func RunGolden(t *Target) (*Golden, error) {
-	g, _, err := runGolden(t)
-	return g, err
+	g, p, err := runGolden(t)
+	if err != nil {
+		return nil, err
+	}
+	p.Release()
+	return g, nil
 }
 
 // runGolden is RunGolden keeping the platform alive, so the campaign can
-// freeze the golden run's compiled translation state into a shared pool.
+// freeze the golden run's compiled translation state into a shared pool;
+// the caller releases the platform.
 func runGolden(t *Target) (*Golden, *vp.Platform, error) {
 	p, err := t.newPlatform()
 	if err != nil {
@@ -272,6 +277,7 @@ func runGolden(t *Target) (*Golden, *vp.Platform, error) {
 	}
 	stop := p.Run(t.Budget)
 	if stop.Reason != emu.StopExit && stop.Reason != emu.StopEbreak {
+		p.Release()
 		return nil, nil, fmt.Errorf("fault: golden run ended with %v", stop)
 	}
 	return &Golden{Stop: stop, Output: p.Output(), Insts: p.Machine.Hart.Instret}, p, nil
@@ -283,6 +289,7 @@ func Inject(t *Target, g *Golden, f Fault) (Outcome, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer inj.p.Release()
 	return inj.run(g, f)
 }
 
@@ -598,6 +605,7 @@ func Prepare(t *Target) (*Golden, *emu.TBPool, error) {
 	if gp.Machine.CodeClean() {
 		pool = gp.Machine.BuildTBPool()
 	}
+	gp.Release()
 	return g, pool, nil
 }
 
@@ -643,6 +651,7 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 		if !o.NoSharedPool && gp.Machine.CodeClean() {
 			pool = gp.Machine.BuildTBPool()
 		}
+		gp.Release()
 	}
 	workers := o.Workers
 	if workers <= 0 {
@@ -734,6 +743,7 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 				mu.Unlock()
 				return
 			}
+			defer inj.p.Release()
 			// Per-mutant restore cost lands in the registry's
 			// s4e_fault_restore_* histograms as it happens; the totals
 			// are folded in with the rest of the worker's counters by
@@ -755,7 +765,9 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 				done.Add(1)
 				mDone.Inc()
 				mOutcome[out].Inc()
-				o.Trace.Emit("mutant", "i", i, "fault", plan.Faults[i].String(), "outcome", out.String())
+				if o.Trace != nil {
+					o.Trace.Emit("mutant", "i", i, "fault", plan.Faults[i].String(), "outcome", out.String())
+				}
 			}
 			inj.p.RecordStats(o.Metrics)
 		}()

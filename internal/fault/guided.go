@@ -36,6 +36,7 @@ func GuidedPlanConfig(t *Target, seed int64, perModel int) (PlanConfig, *Golden,
 	if err != nil {
 		return PlanConfig{}, nil, err
 	}
+	defer p.Release()
 	cov := cover.New(isa.RV32Full)
 	ext := &extent{lo: ^uint32(0)}
 	if err := p.Machine.Hooks.Register(cov); err != nil {

@@ -168,6 +168,7 @@ func RunQTA(ctx context.Context, w workloads.Workload, prof *timing.Profile, opt
 	if err != nil {
 		return qta.Result{}, err
 	}
+	defer p.Release()
 	if err := p.LoadProgram(prog); err != nil {
 		return qta.Result{}, err
 	}

@@ -7,6 +7,7 @@ package mem
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -276,14 +277,52 @@ type RAM struct {
 	bytes []byte
 }
 
-// NewRAM allocates a zeroed RAM of the given size.
-func NewRAM(size uint32) *RAM { return &RAM{bytes: make([]byte, size)} }
+// free is the RAM free list: at most one idle, all-zero buffer per size,
+// handed out by NewRAM and refilled by Release. One per size bounds what
+// idle buffers add to the live heap (and so to the GC heap goal) at one
+// buffer per platform size, where a sync.Pool would keep as many as were
+// ever in use at once. Concurrent campaign workers and service jobs
+// share it, hence the mutex.
+var free = struct {
+	sync.Mutex
+	bufs map[uint32][]byte
+}{bufs: map[uint32][]byte{}}
+
+// NewRAM returns a zeroed RAM of the given size, reusing a released
+// buffer of that size when one is idle.
+func NewRAM(size uint32) *RAM {
+	free.Lock()
+	b, ok := free.bufs[size]
+	delete(free.bufs, size)
+	free.Unlock()
+	if !ok {
+		b = make([]byte, size)
+	}
+	return &RAM{bytes: b}
+}
+
+// Release hands the backing buffer back to NewRAM and detaches r: any
+// later access through r panics. The caller guarantees the buffer is all
+// zero again. Releasing a released RAM is a no-op.
+func (r *RAM) Release() {
+	b := r.bytes
+	if b == nil {
+		return
+	}
+	r.bytes = nil
+	size := uint32(len(b))
+	free.Lock()
+	if _, ok := free.bufs[size]; !ok {
+		free.bufs[size] = b
+	}
+	free.Unlock()
+}
 
 // Size returns the RAM capacity in bytes.
 func (r *RAM) Size() uint32 { return uint32(len(r.bytes)) }
 
-// Bytes exposes the backing store. The fault injector uses this to flip
-// bits; the loader uses it to place images.
+// Bytes exposes the backing store (nil once released). The fault
+// injector uses this to flip bits; the loader uses it to place images.
 func (r *RAM) Bytes() []byte { return r.bytes }
 
 func (r *RAM) load(off uint32, size uint8) uint32 {

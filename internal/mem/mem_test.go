@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -225,4 +226,53 @@ func BenchmarkBusLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bus.Load(0x8000_0000+uint32(i)&0xfffc, 4)
 	}
+}
+
+func TestRAMFreeListHoldsOneBufferPerSize(t *testing.T) {
+	const size = 0x3000 // used by no other test
+	a, b := NewRAM(size), NewRAM(size)
+	first := &a.Bytes()[0]
+	a.Release()
+	b.Release()
+	a.Release() // a second Release is a no-op
+	free.Lock()
+	idle, ok := free.bufs[size]
+	free.Unlock()
+	if !ok || &idle[0] != first {
+		t.Fatal("the free list does not hold the first released buffer")
+	}
+	if c := NewRAM(size); &c.Bytes()[0] != first {
+		t.Error("NewRAM did not reuse the idle buffer")
+	}
+	if d := NewRAM(size); &d.Bytes()[0] == first || d.Size() != size {
+		t.Error("the free list held more than one buffer of a size")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a released RAM did not panic on access")
+		}
+	}()
+	a.Load(0, 4)
+}
+
+// TestRAMFreeListConcurrent shares the free list between goroutines, as
+// campaign workers and service jobs do; run it under -race.
+func TestRAMFreeListConcurrent(t *testing.T) {
+	const size = 0x5000
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r := NewRAM(size)
+				if r.Size() != size || r.Bytes()[size-1] != 0 {
+					t.Error("NewRAM returned a wrong-sized or dirty buffer")
+					return
+				}
+				r.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -113,6 +113,11 @@ func MeasureIRT(ctx context.Context, build func() (*vp.Platform, error),
 		return nil, err
 	}
 	stop, err := golden.RunContext(ctx, budget)
+	res := &IRTMeasurement{
+		GoldenCycles: golden.Machine.Hart.Cycle,
+		Samples:      samples,
+	}
+	golden.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +127,6 @@ func MeasureIRT(ctx context.Context, build func() (*vp.Platform, error),
 	if stop.Code != expect {
 		return nil, fmt.Errorf("qta: irt golden run produced 0x%08x, want 0x%08x",
 			stop.Code, expect)
-	}
-	res := &IRTMeasurement{
-		GoldenCycles: golden.Machine.Hart.Cycle,
-		Samples:      samples,
 	}
 	if samples <= 0 {
 		return res, nil
@@ -158,6 +159,7 @@ func MeasureIRT(ctx context.Context, build func() (*vp.Platform, error),
 		}
 		p.Plic.TriggerAt(at)
 		pstop, err := p.RunContext(ctx, budget)
+		p.Release()
 		if err != nil {
 			return res, err
 		}

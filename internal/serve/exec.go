@@ -108,6 +108,7 @@ func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return nil, Transient(err)
 	}
+	defer p.Release()
 	e := s.bin(j)
 	e.mu.Lock()
 	pool := e.pool
@@ -322,6 +323,7 @@ func (s *Server) execQTA(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return nil, Transient(err)
 	}
+	defer p.Release()
 	q, stop, err := qta.CoSim(ctx, a.Annotated, p, j.budget)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
@@ -77,7 +78,9 @@ type Platform struct {
 	hRestorePages *obs.Histogram
 }
 
-// New builds a platform.
+// New builds a platform. Its RAM starts zeroed, in a buffer a released
+// platform of the same RAM size handed back when one is idle; a caller
+// done with a short-lived platform hands its buffer on with Release.
 func New(cfg Config) (*Platform, error) {
 	if cfg.RAMSize == 0 {
 		cfg.RAMSize = DefaultRAMSize
@@ -277,10 +280,12 @@ func (p *Platform) RunContext(ctx context.Context, budget uint64) (emu.StopInfo,
 
 // Snapshot is a full platform checkpoint: hart, RAM and device state.
 // It enables the restore-instead-of-rebuild pattern the fault campaigns
-// use to recycle one platform across thousands of mutants.
+// use to recycle one platform across thousands of mutants. RAM is kept
+// sparse: only the runs of pages written since the platform was built,
+// since every other byte is still zero.
 type Snapshot struct {
 	hart   cpu.Hart
-	ram    []byte
+	ram    []ramRun // ascending, disjoint
 	uart   dev.UARTState
 	clint  dev.CLINTState
 	sensor int
@@ -288,28 +293,59 @@ type Snapshot struct {
 	plic   dev.PLICState
 }
 
+// ramRun is one run of written RAM: its bytes from absolute address lo.
+type ramRun struct {
+	lo   uint32
+	data []byte
+}
+
+func (r ramRun) end() uint32 { return r.lo + uint32(len(r.data)) }
+
 // Snapshot captures the current platform state.
 func (p *Platform) Snapshot() *Snapshot {
-	ram := make([]byte, len(p.RAM.Bytes()))
-	copy(ram, p.RAM.Bytes())
-	return &Snapshot{
+	ram := p.ram()
+	s := &Snapshot{
 		hart:   p.Machine.Hart.Snapshot(),
-		ram:    ram,
 		uart:   p.UART.Snapshot(),
 		clint:  p.Clint.Snapshot(),
 		sensor: p.Sensor.Pos(),
 		dma:    p.DMA.Snapshot(),
 		plic:   p.Plic.Snapshot(),
 	}
+	p.Machine.ForEachWrittenRange(func(lo, hi uint32) {
+		s.ram = append(s.ram, ramRun{lo, append([]byte(nil), ram[lo-RAMBase:hi-RAMBase]...)})
+	})
+	return s
+}
+
+// fill writes the snapshot's RAM image over [lo, hi) of ram: each run's
+// overlap is copied, and every byte no run covers, zero at snapshot
+// time, is zeroed.
+func (s *Snapshot) fill(ram []byte, lo, hi uint32) {
+	i := sort.Search(len(s.ram), func(i int) bool { return s.ram[i].end() > lo })
+	for ; lo < hi && i < len(s.ram) && s.ram[i].lo < hi; i++ {
+		r := s.ram[i]
+		if r.lo > lo {
+			clear(ram[lo-RAMBase : r.lo-RAMBase])
+			lo = r.lo
+		}
+		end := min(hi, r.end())
+		copy(ram[lo-RAMBase:end-RAMBase], r.data[lo-r.lo:])
+		lo = end
+	}
+	if lo < hi {
+		clear(ram[lo-RAMBase : hi-RAMBase])
+	}
 }
 
 // RestoreReuse rewinds the platform to a post-load snapshot of prog —
 // the one platform rewind. Only the dirty ranges the machine tracked
-// since the last rewind are copied back from the snapshot: runs of
-// dirty pages, trimmed byte-precisely to the store-watermark box at the
+// since the last rewind are rewritten from the snapshot: runs of dirty
+// pages, trimmed byte-precisely to the store-watermark box at the
 // extremes, so a scattered run (one store at the top of RAM, one at the
-// bottom) costs two pages of copying, not the span between them.
-// Hart and device state are restored in full.
+// bottom) costs two pages of copying, not the span between them. Bytes
+// the sparse snapshot does not hold were zero when it was taken and are
+// zeroed. Hart and device state are restored in full.
 //
 // s must have been taken immediately after loading prog (the fault
 // campaign's base snapshot), and every RAM write since must be visible
@@ -335,10 +371,10 @@ func (p *Platform) RestoreReuse(s *Snapshot, prog *asm.Program) {
 		p.rewindCodeWrites = cw
 	}
 	p.Machine.Hart.Restore(s.hart)
-	ram := p.RAM.Bytes()
+	ram := p.ram()
 	var nbytes, pages uint64
 	p.Machine.ForEachDirtyRange(func(lo, hi uint32) {
-		copy(ram[lo-RAMBase:hi-RAMBase], s.ram[lo-RAMBase:hi-RAMBase])
+		s.fill(ram, lo, hi)
 		nbytes += uint64(hi - lo)
 		pages += uint64((hi-1)>>emu.DirtyPageShift) - uint64(lo>>emu.DirtyPageShift) + 1
 	})
@@ -351,6 +387,33 @@ func (p *Platform) RestoreReuse(s *Snapshot, prog *asm.Program) {
 	p.Plic.Restore(s.plic)
 	p.Machine.FlushICache()
 	p.Machine.ClearStop()
+}
+
+// Release zeroes the RAM pages the platform wrote and hands its RAM
+// buffer back for the next New of the same size, then detaches the
+// platform: any later use panics instead of touching a buffer another
+// platform may own by now. It rests on the RestoreReuse contract (every
+// RAM write visible to the dirty-state tracking), which is what makes
+// the written pages the only non-zero ones. Releasing twice is a no-op.
+func (p *Platform) Release() {
+	ram := p.RAM.Bytes()
+	if ram == nil {
+		return
+	}
+	p.Machine.ForEachWrittenRange(func(lo, hi uint32) {
+		clear(ram[lo-RAMBase : hi-RAMBase])
+	})
+	p.RAM.Release()
+	p.Machine.DetachRAM()
+}
+
+// ram returns the RAM buffer, panicking once the platform is released.
+func (p *Platform) ram() []byte {
+	ram := p.RAM.Bytes()
+	if ram == nil {
+		panic("vp: platform used after Release")
+	}
+	return ram
 }
 
 // Output returns everything the program wrote to the UART.
