@@ -213,6 +213,7 @@ func BenchmarkE7_BMI(b *testing.B) {
 					b.Fatalf("%v %v", stop, err)
 				}
 				cb = p.Machine.Hart.Cycle
+				p.Release()
 			}
 			b.ReportMetric(float64(cb), "guest-cycles")
 		})
@@ -223,6 +224,7 @@ func BenchmarkE7_BMI(b *testing.B) {
 					b.Fatalf("%v %v", stop, err)
 				}
 				cx = p.Machine.Hart.Cycle
+				p.Release()
 			}
 			b.ReportMetric(float64(cx), "guest-cycles")
 			if cb > 0 {

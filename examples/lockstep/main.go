@@ -47,6 +47,8 @@ func main() {
 		return p
 	}
 	main0, main1 := build(), build()
+	defer main0.Release()
+	defer main1.Release()
 
 	// Inject a single-event upset into core 1 only: flip bit 7 of the
 	// PID integral accumulator after 300 instructions.

@@ -55,4 +55,7 @@ func main() {
 	fmt.Printf("instructions: %d\n", h.Instret)
 	fmt.Printf("cycles:       %d (%s core model)\n", h.Cycle, timing.EdgeSmall().Name())
 	fmt.Printf("CPI:          %.2f\n", float64(h.Cycle)/float64(h.Instret))
+
+	// Hand the platform's RAM back for the next vp.New of its size.
+	p.Release()
 }

@@ -54,6 +54,7 @@ func main() {
 		}
 
 		dyn := p.Machine.Hart.Cycle
+		p.Release()
 		ratio := float64(a.Annotated.WCET) / float64(dyn)
 		verdict := "OK"
 		if a.Annotated.WCET < dyn {

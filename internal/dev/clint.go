@@ -14,15 +14,22 @@ const (
 	CLINTSize uint32 = 0xc000
 )
 
-// CLINT is a core-local interruptor: a 64-bit mtime counter advanced by
-// the emulator's cycle count, an mtimecmp compare register, and an msip
-// software-interrupt bit.
+// CLINT is a core-local interruptor: a 64-bit mtime counter that
+// follows a clock (the emulator's cycle count), an mtimecmp compare
+// register, and an msip software-interrupt bit. mtime is not stored: it
+// reads as the clock plus an offset, which guest mtime stores, Advance
+// and Restore move.
 type CLINT struct {
-	// Epoch, when non-nil, is advanced by every store, Restore and
+	// IRQDeadline, when non-nil, is zeroed by every store, Restore and
 	// Advance: each can move mtimecmp, msip or mtime.
-	Epoch *Epoch
+	IRQDeadline *uint64
 
-	mtime    uint64
+	// Now, when non-nil, is the clock mtime follows; the platform wires
+	// it to the cycle of the machine's last interrupt poll point
+	// (emu.Machine.PollCycle). A CLINT without one reads the clock as 0.
+	Now func() uint64
+
+	off      uint64 // mtime minus the clock
 	mtimecmp uint64
 	msip     bool
 }
@@ -31,51 +38,63 @@ type CLINT struct {
 // no timer interrupt fires until software programs it).
 func NewCLINT() *CLINT { return &CLINT{mtimecmp: ^uint64(0)} }
 
-// CLINTState is a snapshot of the CLINT's registers.
+// CLINTState is a snapshot of the CLINT's registers. mtime is kept as
+// its offset from the clock, so a restore together with the clock's own
+// (the hart's cycle counter) resumes the same time base.
 type CLINTState struct {
-	Mtime, Mtimecmp uint64
-	Msip            bool
+	MtimeOffset, Mtimecmp uint64
+	Msip                  bool
 }
 
 // Snapshot captures the CLINT state.
 func (c *CLINT) Snapshot() CLINTState {
-	return CLINTState{Mtime: c.mtime, Mtimecmp: c.mtimecmp, Msip: c.msip}
+	return CLINTState{MtimeOffset: c.off, Mtimecmp: c.mtimecmp, Msip: c.msip}
 }
 
 // Restore replaces the CLINT state with a snapshot.
 func (c *CLINT) Restore(s CLINTState) {
-	c.mtime, c.mtimecmp, c.msip = s.Mtime, s.Mtimecmp, s.Msip
-	c.Epoch.bump()
+	c.off, c.mtimecmp, c.msip = s.MtimeOffset, s.Mtimecmp, s.Msip
+	expire(c.IRQDeadline)
 }
 
 // Advance moves mtime forward by the given number of ticks.
 func (c *CLINT) Advance(ticks uint64) {
-	c.mtime += ticks
-	c.Epoch.bump()
+	c.off += ticks
+	expire(c.IRQDeadline)
 }
 
-// SetTime sets mtime directly (the emulator syncs it to mcycle at every
-// interrupt poll point). It does not advance the epoch: the machine
-// tracks the timer through NextTimerEvent instead.
-func (c *CLINT) SetTime(t uint64) { c.mtime = t }
+// clock reads the clock mtime follows.
+func (c *CLINT) clock() uint64 {
+	if c.Now == nil {
+		return 0
+	}
+	return c.Now()
+}
 
 // Time returns the current mtime.
-func (c *CLINT) Time() uint64 { return c.mtime }
+func (c *CLINT) Time() uint64 { return c.clock() + c.off }
+
+// setTime makes mtime read t at the current clock.
+func (c *CLINT) setTime(t uint64) { c.off = t - c.clock() }
 
 // TimerPending reports whether the machine timer interrupt is asserted.
-func (c *CLINT) TimerPending() bool { return c.mtime >= c.mtimecmp }
+func (c *CLINT) TimerPending() bool { return c.Time() >= c.mtimecmp }
 
 // SoftwarePending reports whether the machine software interrupt is
 // asserted.
 func (c *CLINT) SoftwarePending() bool { return c.msip }
 
-// NextTimerEvent returns the mtime value at which the timer interrupt
-// will assert, and ok=false if it is already pending or unprogrammed.
+// NextTimerEvent returns the clock value at which the timer interrupt
+// will assert, and ok=false if it is already pending, unprogrammed or
+// beyond the clock's range.
 func (c *CLINT) NextTimerEvent() (uint64, bool) {
-	if c.TimerPending() || c.mtimecmp == ^uint64(0) {
-		return 0, false
+	now := c.clock()
+	if mt := now + c.off; mt < c.mtimecmp && c.mtimecmp != ^uint64(0) {
+		if at := now + (c.mtimecmp - mt); at > now {
+			return at, true
+		}
 	}
-	return c.mtimecmp, true
+	return 0, false
 }
 
 // Load implements mem.Device.
@@ -91,16 +110,16 @@ func (c *CLINT) Load(off uint32, size uint8) (uint32, error) {
 	case CLINTMtimecmpH:
 		return uint32(c.mtimecmp >> 32), nil
 	case CLINTMtime:
-		return uint32(c.mtime), nil
+		return uint32(c.Time()), nil
 	case CLINTMtimeH:
-		return uint32(c.mtime >> 32), nil
+		return uint32(c.Time() >> 32), nil
 	}
 	return 0, fmt.Errorf("clint: bad offset 0x%x", off)
 }
 
 // Store implements mem.Device.
 func (c *CLINT) Store(off uint32, size uint8, val uint32) error {
-	c.Epoch.bump()
+	expire(c.IRQDeadline)
 	switch off {
 	case CLINTMsip:
 		c.msip = val&1 != 0
@@ -112,10 +131,10 @@ func (c *CLINT) Store(off uint32, size uint8, val uint32) error {
 		c.mtimecmp = c.mtimecmp&0xffffffff | uint64(val)<<32
 		return nil
 	case CLINTMtime:
-		c.mtime = c.mtime&^uint64(0xffffffff) | uint64(val)
+		c.setTime(c.Time()&^uint64(0xffffffff) | uint64(val))
 		return nil
 	case CLINTMtimeH:
-		c.mtime = c.mtime&0xffffffff | uint64(val)<<32
+		c.setTime(c.Time()&0xffffffff | uint64(val)<<32)
 		return nil
 	}
 	return fmt.Errorf("clint: bad offset 0x%x", off)

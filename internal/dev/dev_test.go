@@ -170,3 +170,42 @@ func TestSensorStreaming(t *testing.T) {
 		t.Error("sensor must be read-only")
 	}
 }
+
+// TestCLINTTimeFollowsClock checks that mtime reads as the clock plus
+// an offset: guest stores and Advance move the offset, the clock keeps
+// running under it, the next timer event is reported in clock units and
+// a snapshot restores the offset, not a stale absolute time.
+func TestCLINTTimeFollowsClock(t *testing.T) {
+	var clock uint64
+	c := NewCLINT()
+	c.Now = func() uint64 { return clock }
+	clock = 40
+	if c.Time() != 40 {
+		t.Fatalf("mtime = %d at clock 40", c.Time())
+	}
+	c.Store(CLINTMtime, 4, 100) // offset 60
+	clock = 50
+	if v, _ := c.Load(CLINTMtime, 4); v != 110 {
+		t.Errorf("mtime = %d at clock 50 after writing 100 at clock 40, want 110", v)
+	}
+	c.Advance(5) // offset 65
+	c.Store(CLINTMtimecmp, 4, 200)
+	c.Store(CLINTMtimecmpH, 4, 0)
+	if at, ok := c.NextTimerEvent(); !ok || at != 135 {
+		t.Errorf("NextTimerEvent = %d, %v; want clock 135, true", at, ok)
+	}
+	s := c.Snapshot()
+	clock = 134
+	if c.TimerPending() {
+		t.Error("timer pending at clock 134 (mtime 199)")
+	}
+	clock = 135
+	if !c.TimerPending() {
+		t.Error("timer not pending at clock 135 (mtime 200)")
+	}
+	c.Store(CLINTMtime, 4, 0)
+	c.Restore(s)
+	if c.Time() != 200 {
+		t.Errorf("restored mtime = %d at clock 135, want the snapshot's offset (200)", c.Time())
+	}
+}

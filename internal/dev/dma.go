@@ -68,10 +68,10 @@ type DMAStream struct {
 	// store, so the value read at kick time is engine-independent.
 	Now func() uint64
 
-	// Epoch, when non-nil, is advanced by every store, Restore and the
-	// completion in Tick: each can change the completion line or the
+	// IRQDeadline, when non-nil, is zeroed by every store, Restore and
+	// the completion in Tick: each can change the completion line or the
 	// next completion cycle (NextEvent).
-	Epoch *Epoch
+	IRQDeadline *uint64
 
 	samples []int16
 	pos     int
@@ -119,7 +119,7 @@ func (d *DMAStream) Tick(cycle uint64) {
 	d.complete()
 	d.irq = true
 	d.assertAt = d.doneAt
-	d.Epoch.bump()
+	expire(d.IRQDeadline)
 }
 
 // NextEvent returns the completion cycle of the in-flight transfer, and
@@ -219,7 +219,7 @@ func (d *DMAStream) Restore(s DMAState) {
 	d.busy, d.irq = s.Busy, s.IRQ
 	d.doneAt, d.assertAt = s.DoneAt, s.AssertAt
 	d.pos, d.faulted = s.Pos, s.Faulted
-	d.Epoch.bump()
+	expire(d.IRQDeadline)
 }
 
 // Load implements mem.Device.
@@ -250,7 +250,7 @@ func (d *DMAStream) Load(off uint32, size uint8) (uint32, error) {
 
 // Store implements mem.Device.
 func (d *DMAStream) Store(off uint32, size uint8, val uint32) error {
-	d.Epoch.bump()
+	expire(d.IRQDeadline)
 	switch off {
 	case DMARing:
 		d.ring = val

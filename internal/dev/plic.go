@@ -38,11 +38,12 @@ const (
 // guest MMIO accesses, host calls and full interrupt polls (the
 // platform ticks devices from the machine's poll), all of which the
 // engines replicate exactly, keeping the sampled levels
-// engine-independent. Each such change advances the shared Epoch, so
-// the machine queries Pending only at a full poll: when the epoch moved,
-// when a device event (NextEvent, the CLINT timer) fell due, or when
-// mip or the cycle counter changed behind its back. Any other poll
-// would sample the same levels and is skipped.
+// engine-independent. Each such change zeroes the machine's poll
+// deadline, so the machine queries Pending only at a full poll: when a
+// device zeroed the deadline, when a device event (NextEvent, the CLINT
+// timer) fell due, or when a CSR write or the host changed what the
+// last poll found. Any other poll would sample the same levels and is
+// skipped.
 //
 // Line 3 is an edge-triggered test line the host arms with TriggerAt:
 // it lets co-simulation harnesses assert an interrupt at an exact,
@@ -50,10 +51,10 @@ const (
 // pending at the first Tick at or past the scheduled cycle and clears
 // when claimed.
 type PLIC struct {
-	// Epoch, when non-nil, is advanced by every store, Restore,
+	// IRQDeadline, when non-nil, is zeroed by every store, Restore,
 	// TriggerAt, the test-line latch in Tick and a claim of the test
 	// line.
-	Epoch *Epoch
+	IRQDeadline *uint64
 
 	enable  uint32
 	sources [plicLines]func() bool // live level callbacks, may be nil
@@ -81,7 +82,7 @@ func (p *PLIC) TriggerAt(at uint64) {
 	p.trigArmed = true
 	p.trigAt = at
 	p.trigPending = false
-	p.Epoch.bump()
+	expire(p.IRQDeadline)
 }
 
 // TriggerCycle returns the cycle the test line was (or will be)
@@ -100,7 +101,7 @@ func (p *PLIC) Tick(cycle uint64) {
 	if p.trigArmed && cycle >= p.trigAt {
 		p.trigArmed = false
 		p.trigPending = true
-		p.Epoch.bump()
+		expire(p.IRQDeadline)
 	}
 }
 
@@ -152,7 +153,7 @@ func (p *PLIC) Restore(s PLICState) {
 	p.trigArmed = s.TrigArmed
 	p.trigAt = s.TrigAt
 	p.trigPending = s.TrigPending
-	p.Epoch.bump()
+	expire(p.IRQDeadline)
 }
 
 // Load implements mem.Device.
@@ -169,7 +170,7 @@ func (p *PLIC) Load(off uint32, size uint8) (uint32, error) {
 				if i == PLICLineTest {
 					// Edge line: the claim is the acknowledgement.
 					p.trigPending = false
-					p.Epoch.bump()
+					expire(p.IRQDeadline)
 				}
 				return uint32(i), nil
 			}
@@ -181,7 +182,7 @@ func (p *PLIC) Load(off uint32, size uint8) (uint32, error) {
 
 // Store implements mem.Device.
 func (p *PLIC) Store(off uint32, size uint8, val uint32) error {
-	p.Epoch.bump()
+	expire(p.IRQDeadline)
 	switch off {
 	case PLICEnable:
 		p.enable = val & (1<<plicLines - 1) &^ 1

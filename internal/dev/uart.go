@@ -22,10 +22,10 @@ const (
 // io.Writer (and are also retained for inspection); received bytes come
 // from a caller-provided queue.
 type UART struct {
-	// Epoch, when non-nil, is advanced wherever the receive queue can
-	// change — the level of the UART's PLIC line: Feed, Restore and a
-	// pop of UARTRxData. Transmits and status reads leave it alone.
-	Epoch *Epoch
+	// IRQDeadline, when non-nil, is zeroed wherever the receive queue
+	// can change — the level of the UART's PLIC line: Feed, Restore and
+	// a pop of UARTRxData. Transmits and status reads leave it alone.
+	IRQDeadline *uint64
 
 	out io.Writer
 	tx  bytes.Buffer
@@ -42,7 +42,7 @@ func (u *UART) Output() string { return u.tx.String() }
 // Feed appends bytes to the receive queue.
 func (u *UART) Feed(data []byte) {
 	u.rx = append(u.rx, data...)
-	u.Epoch.bump()
+	expire(u.IRQDeadline)
 }
 
 // RxAvail reports whether the receive queue is non-empty — the level of
@@ -68,7 +68,7 @@ func (u *UART) Restore(s UARTState) {
 	u.tx.Reset()
 	u.tx.WriteString(s.TX)
 	u.rx = append(u.rx[:0], s.RX...)
-	u.Epoch.bump()
+	expire(u.IRQDeadline)
 }
 
 // Load implements mem.Device.
@@ -82,7 +82,7 @@ func (u *UART) Load(off uint32, size uint8) (uint32, error) {
 		}
 		b := u.rx[0]
 		u.rx = u.rx[1:]
-		u.Epoch.bump()
+		expire(u.IRQDeadline)
 		return uint32(b), nil
 	case UARTStatus:
 		st := uint32(1) // tx always ready

@@ -1,6 +1,8 @@
 package emu_test
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -141,4 +143,76 @@ func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 			t.Error("write into translated code not reported by CodePagesDirty")
 		}
 	})
+}
+
+// TestDirtyRangesMatchPageSet: for random sets of written pages — lone
+// pages, runs across bitmap-word boundaries, whole 64-page words and
+// the last page of RAM — ForEachDirtyRange and ForEachWrittenRange
+// report exactly the maximal runs of the set, and DirtyOverlaps agrees
+// page by page with it.
+func TestDirtyRangesMatchPageSet(t *testing.T) {
+	const pages = vp.DefaultRAMSize / emu.DirtyPageSize
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		p, err := vp.New(vp.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := p.Machine
+		m.ResetStoreWatermark()
+		set := make([]bool, pages)
+		for n := rng.Intn(6); n >= 0; n-- {
+			first := rng.Intn(pages)
+			switch rng.Intn(4) {
+			case 0: // a lone page
+				set[first] = true
+			case 1: // a short run, likely across a word boundary
+				for i := first; i < min(first+rng.Intn(130), pages); i++ {
+					set[i] = true
+				}
+			case 2: // one whole bitmap word
+				for i := first &^ 63; i < first&^63+64; i++ {
+					set[i] = true
+				}
+			default: // the last page
+				set[pages-1] = true
+			}
+		}
+		for i, ok := range set {
+			if ok {
+				m.NoteRAMWriteRange(vp.RAMBase+uint32(i)*emu.DirtyPageSize, vp.RAMBase+uint32(i+1)*emu.DirtyPageSize)
+			}
+		}
+		var want [][2]uint32
+		for i := 0; i < pages; i++ {
+			if !set[i] {
+				continue
+			}
+			j := i
+			for j < pages && set[j] {
+				j++
+			}
+			want = append(want, [2]uint32{vp.RAMBase + uint32(i)*emu.DirtyPageSize, vp.RAMBase + uint32(j)*emu.DirtyPageSize})
+			i = j
+		}
+		var dirty, written [][2]uint32
+		m.ForEachDirtyRange(func(lo, hi uint32) { dirty = append(dirty, [2]uint32{lo, hi}) })
+		m.ForEachWrittenRange(func(lo, hi uint32) { written = append(written, [2]uint32{lo, hi}) })
+		if !slices.Equal(dirty, want) || !slices.Equal(written, want) {
+			t.Fatalf("trial %d: dirty runs %x, written runs %x, want %x", trial, dirty, written, want)
+		}
+		for i := 0; i < pages; i++ {
+			lo := vp.RAMBase + uint32(i)*emu.DirtyPageSize
+			if got := m.DirtyOverlaps(lo, lo+emu.DirtyPageSize); got != set[i] {
+				t.Fatalf("trial %d: DirtyOverlaps(page %d) = %v, want %v", trial, i, got, set[i])
+			}
+		}
+		if len(want) > 0 {
+			lo, hi := want[0][0], want[len(want)-1][1]
+			if !m.DirtyOverlaps(lo-1, hi+1) {
+				t.Fatalf("trial %d: DirtyOverlaps over every run = false", trial)
+			}
+		}
+		p.Release()
+	}
 }

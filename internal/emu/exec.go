@@ -220,6 +220,7 @@ func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 		return true
 	case isa.OpMRET:
 		h.MRet()
+		m.wakeIfDeliverable()
 		target = h.PC
 		diverted = true
 
@@ -386,6 +387,14 @@ func (m *Machine) execCSR(in decode.Inst, pc, rs1v uint32) bool {
 		if err := h.WriteCSR(in.CSR, newv); err != nil {
 			m.trap(isa.ExcIllegalInst, in.Raw, pc)
 			return false
+		}
+		switch in.CSR {
+		case isa.CSRMstatus, isa.CSRMie:
+			m.wakeIfDeliverable()
+		case isa.CSRMip, isa.CSRMcycle, isa.CSRMcycleH:
+			// The next poll re-mirrors the devices over a written mip
+			// bit, and a moved cycle counter moves every device event.
+			m.irqDeadline = 0
 		}
 	}
 	h.SetReg(in.Rd, old)

@@ -8,6 +8,7 @@ package emu
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/cpu"
@@ -210,7 +211,8 @@ type Machine struct {
 	Profile *timing.Profile
 
 	// Clint, when non-nil, drives timer/software interrupts from the
-	// cycle counter.
+	// cycle counter. Its mtime follows PollCycle (dev.CLINT.Now) and it
+	// zeroes IRQDeadline; the platform wires both.
 	Clint *dev.CLINT
 
 	// Ext, when non-nil, drives the machine-external interrupt (MEIP)
@@ -218,28 +220,26 @@ type Machine struct {
 	// counter at every full interrupt poll and its pending state is
 	// mirrored into mip. Both engines share the poll points, so
 	// external-interrupt delivery is engine-independent by construction.
+	// The devices behind it zero IRQDeadline.
 	Ext ExtIRQ
 
-	// Epoch, when non-nil, is the interrupt epoch the devices behind
-	// Clint and Ext advance whenever an interrupt input or a next event
-	// can change (dev.Epoch). It lets a poll point skip the full poll —
-	// ticking Ext, sampling its level, mirroring the CLINT into mip —
-	// when the outcome is already known: the epoch is unchanged since
-	// the last full poll, the cycle counter has neither passed the
-	// earliest device event (Ext.NextEvent, the CLINT timer) nor gone
-	// backwards, and mip still holds the value that poll left. A
-	// skipped poll still syncs mtime and still takes a deliverable
-	// interrupt, so mstatus, mie, mret and traps need no hook. Without
-	// an epoch every poll is a full poll.
-	Epoch *dev.Epoch
+	// irqDeadline is the cycle before which an interrupt poll point
+	// skips the poll: one compare per block boundary. A full poll sets it
+	// to the earliest scheduled device event (Ext.NextEvent, the CLINT
+	// timer); until then a poll would tick no device, change no mip bit
+	// and deliver nothing, unless something zeroes the deadline first.
+	// Zeroing it forces the next poll point to poll. The devices do so
+	// wherever an interrupt input or a next event can change (through
+	// IRQDeadline), a CSR write or mret does so when it makes an
+	// interrupt deliverable (or writes mip or the cycle counter), and
+	// Run and Step do so for what host code may have changed between
+	// runs (resumePolls).
+	irqDeadline uint64
 
-	// The last full interrupt poll: the epoch and mip it left, the cycle
-	// it ran at, and pollSpan, the cycles from there to the earliest
-	// device event. pollSpan 0 forces the next poll to be full.
-	polledEpoch dev.Epoch
-	polledMip   uint32
-	polledCycle uint64
-	pollSpan    uint64
+	// pollCycle is the cycle at the last interrupt poll point: the clock
+	// the CLINT's mtime follows, so mtime advances at poll points (block
+	// boundaries; every instruction under Step).
+	pollCycle uint64
 
 	// Hooks is the plugin registry.
 	Hooks plugin.Hooks
@@ -343,9 +343,10 @@ type Machine struct {
 	// only the words the box covers. Empty when no direct RAM is mapped.
 	dirty []uint64
 
-	// written accumulates the dirty bits each ResetStoreWatermark clears,
-	// so written|dirty is every page written since the machine was built
-	// (ForEachWrittenRange). Same shape as dirty.
+	// written accumulates the dirty bits (ResetStoreWatermark folds in
+	// the words it clears, ForEachWrittenRange all of them), so
+	// written|dirty is every page written since the machine was built.
+	// Same shape as dirty.
 	written []uint64
 
 	// stats holds the engine's lifetime performance counters. They are
@@ -521,9 +522,10 @@ func (m *Machine) ResetStoreWatermark() {
 // DirtyOverlaps reports whether any byte of [lo, hi) may have been
 // written since the last ResetStoreWatermark. The watermark box gives a
 // cheap byte-precise reject; inside the box the page bitmap refines the
-// answer, so a block between two scattered stores tests clean even
-// though the box spans it. Outside direct RAM the bitmap cannot attest,
-// so the box overlap is the conservative answer.
+// answer a word (64 pages) at a time, so a block between two scattered
+// stores tests clean even though the box spans it. Outside direct RAM
+// the bitmap cannot attest, so the box overlap is the conservative
+// answer.
 func (m *Machine) DirtyOverlaps(lo, hi uint32) bool {
 	if lo >= hi || m.storeLo >= m.storeHi || hi <= m.storeLo || lo >= m.storeHi {
 		return false
@@ -540,8 +542,15 @@ func (m *Machine) DirtyOverlaps(lo, hi uint32) bool {
 	}
 	first := (lo - base) >> DirtyPageShift
 	last := (hi - 1 - base) >> DirtyPageShift
-	for p := first; p <= last; p++ {
-		if m.dirty[p>>6]&(1<<(p&63)) != 0 {
+	for i := first >> 6; i <= last>>6; i++ {
+		w := m.dirty[i]
+		if i == first>>6 {
+			w &= ^uint64(0) << (first & 63)
+		}
+		if i == last>>6 {
+			w &= ^uint64(0) >> (63 - last&63)
+		}
+		if w != 0 {
 			return true
 		}
 	}
@@ -569,47 +578,31 @@ func (m *Machine) CodePagesDirty() bool {
 // absolute address range, clamped to the direct-RAM region and trimmed
 // to the byte-precise watermark box at the extremes (so a lone store
 // costs its bytes, not its whole page). Ranges arrive in ascending
-// order. This is the read side of the differential-restore path; it
-// does not clear the state (ResetStoreWatermark does).
+// order. Only the bitmap words the box covers are walked, and all-zero
+// words are skipped whole, so a scattered run (a data page at the bottom
+// of RAM, the stack page at the top) costs its two runs, not the box's
+// thousands of pages. This is the read side of the differential-restore
+// path; it does not clear the state (ResetStoreWatermark does).
 func (m *Machine) ForEachDirtyRange(fn func(lo, hi uint32)) {
 	if m.storeLo >= m.storeHi {
 		return
 	}
 	m.ensureRAM()
-	base := m.ramBase
-	wlo, whi := m.storeLo, m.storeHi
-	if wlo < base {
-		wlo = base
-	}
-	if top := base + uint32(len(m.ram)); whi > top {
-		whi = top
-	}
+	base := uint64(m.ramBase)
+	wlo, whi := max(uint64(m.storeLo), base), min(uint64(m.storeHi), base+uint64(len(m.ram)))
 	if wlo >= whi {
 		return
 	}
-	first := (wlo - base) >> DirtyPageShift
-	last := (whi - 1 - base) >> DirtyPageShift
-	run := int64(-1)
-	for p := first; p <= last+1; p++ {
-		set := p <= last && m.dirty[p>>6]&(1<<(p&63)) != 0
-		if set && run < 0 {
-			run = int64(p)
+	// Set bits lie inside the box, so its words need no masking.
+	first := int((wlo - base) >> DirtyPageShift >> 6)
+	last := int((whi - 1 - base) >> DirtyPageShift >> 6)
+	pageRuns(m.dirty[first:last+1], func(a, e int) {
+		lo := max(base+uint64(first*64+a)<<DirtyPageShift, wlo)
+		hi := min(base+uint64(first*64+e)<<DirtyPageShift, whi)
+		if lo < hi {
+			fn(uint32(lo), uint32(hi))
 		}
-		if !set && run >= 0 {
-			lo64 := uint64(base) + uint64(run)<<DirtyPageShift
-			hi64 := uint64(base) + uint64(p)<<DirtyPageShift
-			if lo64 < uint64(wlo) {
-				lo64 = uint64(wlo)
-			}
-			if hi64 > uint64(whi) {
-				hi64 = uint64(whi)
-			}
-			if lo64 < hi64 {
-				fn(uint32(lo64), uint32(hi64))
-			}
-			run = -1
-		}
-	}
+	})
 }
 
 // ForEachWrittenRange calls fn for each maximal run of pages written
@@ -617,33 +610,51 @@ func (m *Machine) ForEachDirtyRange(fn func(lo, hi uint32)) {
 // range, clamped to the direct-RAM region, in ascending order. Every RAM
 // byte outside these ranges still holds what it held when the machine was
 // built, under the same contract as RestoreReuse: every RAM write is
-// visible to the dirty-state tracking.
+// visible to the dirty-state tracking. The dirty bits are folded into
+// the written bitmap first, which leaves the union unchanged.
 func (m *Machine) ForEachWrittenRange(fn func(lo, hi uint32)) {
 	base, top := uint64(m.ramBase), uint64(m.ramBase)+uint64(len(m.ram))
-	flush := func(first, end int) {
-		lo := base + uint64(first)<<DirtyPageShift
-		hi := min(base+uint64(end)<<DirtyPageShift, top)
+	for i, d := range m.dirty {
+		m.written[i] |= d
+	}
+	pageRuns(m.written, func(a, e int) {
+		lo := base + uint64(a)<<DirtyPageShift
+		hi := min(base+uint64(e)<<DirtyPageShift, top)
 		if lo < hi {
 			fn(uint32(lo), uint32(hi))
 		}
-	}
-	run := -1
-	for i := range m.written {
-		w := m.written[i] | m.dirty[i]
-		if w == 0 && run < 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if set := w&(1<<b) != 0; set && run < 0 {
-				run = i*64 + b
-			} else if !set && run >= 0 {
-				flush(run, i*64+b)
+	})
+}
+
+// pageRuns calls fn(first, end) for each maximal run of set bits in a
+// page bitmap (bit i&63 of words[i>>6] is page i), as the half-open page
+// interval [first, end), in ascending order. Each run edge costs one
+// trailing-zero count, so an all-zero or all-one word is crossed in one
+// step, not 64.
+func pageRuns(words []uint64, fn func(first, end int)) {
+	run := -1 // first page of the open run, -1 if none
+	for i, w := range words {
+		for pos := 0; pos < 64; {
+			if run < 0 {
+				rest := w >> pos
+				if rest == 0 {
+					break
+				}
+				pos += bits.TrailingZeros64(rest)
+				run = i*64 + pos
+			} else {
+				rest := ^w >> pos
+				if rest == 0 {
+					break // the run continues into the next word
+				}
+				pos += bits.TrailingZeros64(rest)
+				fn(run, i*64+pos)
 				run = -1
 			}
 		}
 	}
 	if run >= 0 {
-		flush(run, len(m.written)*64)
+		fn(run, len(words)*64)
 	}
 }
 
@@ -672,6 +683,7 @@ func (m *Machine) Reset(pc uint32) {
 	m.lastLoad = 0
 	m.icache = nil
 	m.pool = nil
+	m.irqDeadline, m.pollCycle = 0, 0
 }
 
 // icacheFetch simulates the instruction-cache lookup for one fetch and
@@ -859,8 +871,8 @@ type EngineStats struct {
 	// frozen-superblock tier instead of being re-formed privately.
 	TracePoolHits uint64
 	// FullPolls counts interrupt polls that asked the devices (see
-	// Machine.Epoch); a program that touches no interrupt source pays
-	// one, at its first block boundary.
+	// Machine.irqDeadline); a program that touches no interrupt source
+	// pays one, at its first block boundary.
 	FullPolls uint64
 }
 
@@ -1049,32 +1061,31 @@ type ExtIRQ interface {
 	NextEvent() (uint64, bool)
 }
 
-// pollInterrupts is the interrupt poll point: it syncs interrupt sources
-// into mip and takes a pending interrupt if one is deliverable. The
-// devices are asked only when the last full poll no longer holds (the
-// skip rule of Machine.Epoch). The unsigned difference rejects both a
-// cycle counter at or past the earliest device event and one that went
-// backwards; a non-empty window exists only with an epoch and a CLINT
-// wired (fullPoll).
-func (m *Machine) pollInterrupts() {
-	h := &m.Hart
-	if h.Cycle-m.polledCycle < m.pollSpan && *m.Epoch == m.polledEpoch && h.Mip == m.polledMip {
-		m.Clint.SetTime(h.Cycle)
-	} else {
-		m.fullPoll()
-	}
-	if h.Mip&h.Mie == 0 {
-		return // the usual case, settled without PendingInterrupt
-	}
-	if cause, ok := h.PendingInterrupt(); ok {
-		m.trap(cause|1<<31, 0, h.PC)
+// IRQDeadline returns the address of the machine's interrupt-poll
+// deadline, for the devices to zero (the IRQDeadline field of dev.CLINT,
+// dev.UART, dev.DMAStream and dev.PLIC).
+func (m *Machine) IRQDeadline() *uint64 { return &m.irqDeadline }
+
+// PollCycle returns the cycle at the last interrupt poll point, the
+// clock the CLINT's mtime follows (dev.CLINT.Now).
+func (m *Machine) PollCycle() uint64 { return m.pollCycle }
+
+// pollPoint is an interrupt poll point (every block boundary; every
+// instruction under Step): it advances the mtime clock and polls once
+// the cycle counter reaches the deadline.
+func (m *Machine) pollPoint() {
+	m.pollCycle = m.Hart.Cycle
+	if m.Hart.Cycle >= m.irqDeadline {
+		m.pollInterrupts()
 	}
 }
 
-// fullPoll ticks the devices to the current cycle, mirrors their levels
-// into mip and records what the skip rule needs: the epoch, mip, cycle
-// and the distance to the earliest scheduled device event.
-func (m *Machine) fullPoll() {
+// pollInterrupts is the full interrupt poll: it ticks the devices to the
+// current cycle, mirrors their levels into mip, sets the deadline to the
+// earliest scheduled device event and takes a pending interrupt if one
+// is deliverable. A Tick that zeroes the deadline is answered by this
+// same poll, so the deadline is set only after the devices ran.
+func (m *Machine) pollInterrupts() {
 	h := &m.Hart
 	m.stats.FullPolls++
 	next := ^uint64(0)
@@ -1090,7 +1101,6 @@ func (m *Machine) fullPoll() {
 		}
 	}
 	if m.Clint != nil {
-		m.Clint.SetTime(h.Cycle)
 		if m.Clint.TimerPending() {
 			h.Mip |= 1 << isa.IntMachineTimer
 		} else {
@@ -1105,13 +1115,38 @@ func (m *Machine) fullPoll() {
 			next = min(next, at)
 		}
 	}
-	m.polledMip, m.polledCycle, m.pollSpan = h.Mip, h.Cycle, 0
-	if m.Epoch != nil && m.Clint != nil && next > h.Cycle {
-		// The skip rule needs the epoch to notice device changes and the
-		// CLINT to keep mtime synced; without them every poll is full.
-		m.polledEpoch = *m.Epoch
-		m.pollSpan = next - h.Cycle
+	m.irqDeadline = next
+	if h.Mip&h.Mie == 0 {
+		return // the usual case, settled without PendingInterrupt
 	}
+	if cause, ok := h.PendingInterrupt(); ok {
+		m.trap(cause|1<<31, 0, h.PC)
+	}
+}
+
+// wakeIfDeliverable zeroes the deadline when an interrupt is
+// deliverable, so the next poll point takes it. Writes to mstatus and
+// mie and mret call it: they change what is deliverable but nothing a
+// device reports, so any other write leaves the last poll's answer
+// standing — which keeps the wfi/critical-section idle loop of the
+// interrupt demonstrators at one compare per boundary.
+func (m *Machine) wakeIfDeliverable() {
+	h := &m.Hart
+	if h.Mstatus&isa.MstatusMIE != 0 && h.Mip&h.Mie != 0 {
+		m.irqDeadline = 0
+	}
+}
+
+// resumePolls re-arms the poll for what host code may have changed since
+// the machine last ran: a cycle counter moved back behind the last poll
+// point (a timer pending then may not be now), or hart state written
+// directly that makes an interrupt deliverable. Host calls on the
+// devices zero the deadline themselves.
+func (m *Machine) resumePolls() {
+	if m.Hart.Cycle < m.pollCycle {
+		m.irqDeadline = 0
+	}
+	m.wakeIfDeliverable()
 }
 
 // trap takes a trap or stops the machine if no handler is installed.
@@ -1175,9 +1210,10 @@ func (m *Machine) finishRun() StopInfo {
 func (m *Machine) runSwitch(budget uint64) StopInfo {
 	h := &m.Hart
 	m.ensureRAM()
+	m.resumePolls()
 	left := budget
 	for m.stop == nil {
-		m.pollInterrupts()
+		m.pollPoint()
 		if m.stop != nil {
 			break
 		}
@@ -1230,7 +1266,8 @@ func (m *Machine) Step() *StopInfo {
 		return m.stop
 	}
 	m.ensureRAM()
-	m.pollInterrupts()
+	m.resumePolls()
+	m.pollPoint()
 	if m.stop != nil {
 		return m.stop
 	}

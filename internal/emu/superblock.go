@@ -23,11 +23,17 @@ import (
 // back onto its head or reaches the length cap) and fuses it into one
 // trace spanning all constituent blocks.
 //
-// Instructions without a micro-op encoding (CSR, FP, system ops,
-// early-out mul/div, every instruction under an I-cache profile, whose
+// Instructions without a micro-op encoding (counter and unknown CSRs,
+// FP, system ops, every instruction under an I-cache profile, whose
 // fetch cost is dynamic) compile to an sbExec op that runs the
 // interpreter's execOne with exact architectural state materialized
-// first, so instruction semantics stay defined once, in exec.go.
+// first, so instruction semantics stay defined once, in exec.go. Two
+// micro-ops reuse the interpreter's definitions without that flush:
+// sbCSR runs execCSR on the machine CSRs whose access cannot trap and
+// reads no counter (the mstatus toggles of interrupt firmware's
+// critical sections), and sbMulDyn costs an early-out mul/div with the
+// profile's DynamicCost, adding the cycles straight to the counter so
+// the deferred cycle count stays a compile-time constant.
 //
 // The mechanisms that keep compiled code bit-exact:
 //
@@ -126,6 +132,8 @@ const (
 	sbSltu
 	sbMul
 	sbBin
+	sbMulDyn
+	sbCSR
 	sbLw
 	sbLh
 	sbLhu
@@ -166,6 +174,12 @@ const (
 //	sbGuard      flush n/aux, set PC = pc when rs1 != 0 (bare
 //	             fallthrough tail), poll interrupts, side-exit unless
 //	             PC == imm (the recorded next block).
+//	sbMulDyn     an early-out mul/div: rd/rs1/rs2, imm its isa.Op, in
+//	             the instruction for DynamicCost, pen its load-use stall.
+//	             Its cycles go straight to the counter, its instret to
+//	             the deferral.
+//	sbCSR        in is the Zicsr instruction for execCSR, rs1 its source
+//	             register. Part of a deferred run, like an ALU kind.
 //	sbExec       in is the instruction for execOne, rd the load-use
 //	             hazard register the interpreter holds before it.
 type sbOp struct {
@@ -220,6 +234,7 @@ func (m *Machine) chainOK(t *tb, pc uint32) bool {
 func (m *Machine) runSuperblock(budget uint64) StopInfo {
 	h := &m.Hart
 	m.ensureRAM()
+	m.resumePolls()
 	m.sbPolled = false
 	left := budget
 	var cur, prev *tb
@@ -231,7 +246,7 @@ func (m *Machine) runSuperblock(budget uint64) StopInfo {
 		} else {
 			// Interrupts are polled once per block; chaining must not skip
 			// this or a wfi-less wait loop would never see its interrupt.
-			m.pollInterrupts()
+			m.pollPoint()
 			if m.stop != nil {
 				break
 			}
@@ -385,7 +400,7 @@ func (m *Machine) execTrace(tr *traceCode, budget, left uint64) {
 		if budget != 0 && left-(m.Attempted()-a0) <= tr.nInsts {
 			break
 		}
-		m.pollInterrupts()
+		m.pollPoint()
 		if m.stop != nil {
 			break
 		}
@@ -458,6 +473,14 @@ func (m *Machine) runOps(ops []sbOp) (sideExit bool) {
 			h.X[op.rd&31] = h.X[op.rs1&31] * h.X[op.rs2&31]
 		case sbBin:
 			h.X[op.rd&31] = binOps[op.imm](h.X[op.rs1&31], h.X[op.rs2&31])
+		case sbMulDyn:
+			a, b := h.X[op.rs1&31], h.X[op.rs2&31]
+			h.Cycle += uint64(m.Profile.DynamicCost(*op.in, a, b)) + uint64(op.pen)
+			if op.rd != 0 {
+				h.X[op.rd&31] = binOps[op.imm](a, b)
+			}
+		case sbCSR:
+			m.execCSR(*op.in, op.pc, h.X[op.rs1&31]) // cannot trap: see plainCSR
 
 		case sbLw:
 			addr := h.X[op.rs1&31] + op.imm
@@ -637,7 +660,7 @@ func (m *Machine) runOps(ops []sbOp) (sideExit bool) {
 				// interrupt redirect at this boundary.
 				h.PC = op.pc
 			}
-			m.pollInterrupts()
+			m.pollPoint()
 			if m.stop != nil {
 				return i < last
 			}
@@ -825,7 +848,24 @@ func (c *tbCode) compile() {
 		if costs != nil {
 			cost = costs[i]
 		}
-		if !icache && (dyn == nil || !dyn[i]) && in.Valid() && in.Op.In(c.ext) && c.sub.Allows(in.Op) {
+		if !icache && in.Valid() && in.Op.In(c.ext) && c.sub.Allows(in.Op) {
+			if dyn != nil && dyn[i] {
+				// Early-out mul/div: the op adds its operand-dependent
+				// cycles itself, so only its instret is deferred.
+				constIdx = -1
+				ops = append(ops, sbOp{kind: sbMulDyn, in: in, imm: uint32(in.Op),
+					pen: uint16(cost - c.prof.StaticCost(*in)),
+					rd:  uint8(in.Rd), rs1: uint8(in.Rs1), rs2: uint8(in.Rs2)})
+				pend++
+				continue
+			}
+			if in.Op.Class() == isa.ClassCSR && plainCSR(in.CSR) {
+				constIdx = -1
+				ops = append(ops, sbOp{kind: sbCSR, in: in, pc: addrs[i], rs1: uint8(in.Rs1)})
+				pend++
+				pendCyc += uint64(cost)
+				continue
+			}
 			if op, emit, ok := bareOp(in, addrs[i]); ok {
 				pend++
 				pendCyc += uint64(cost)
@@ -880,6 +920,20 @@ func (c *tbCode) compile() {
 		ops = append(ops, acctOp(pend, pendCyc, c.end))
 	}
 	c.ops = ops
+}
+
+// plainCSR reports whether a Zicsr access to c can run inside a deferred
+// run (sbCSR): a machine CSR that always exists and is writable, so the
+// access cannot trap, and that reads no counter, so stale deferred
+// instret and cycle counts cannot show. Counter and unknown CSRs stay
+// with the interpreter.
+func plainCSR(c isa.CSR) bool {
+	switch c {
+	case isa.CSRMstatus, isa.CSRMie, isa.CSRMip, isa.CSRMtvec,
+		isa.CSRMscratch, isa.CSRMepc, isa.CSRMcause, isa.CSRMtval:
+		return true
+	}
+	return false
 }
 
 // acctOp builds the deferred-accounting flush micro-op.
@@ -1091,6 +1145,7 @@ func branchPen(p *timing.Profile) uint32 {
 // the one sbBin micro-op shape; the hottest ops get dedicated micro-ops
 // instead. Unary ops ignore their second operand.
 var binOps = [isa.NumOps]func(a, b uint32) uint32{
+	isa.OpMUL: func(a, b uint32) uint32 { return a * b }, // sbMulDyn only
 	isa.OpMULH: func(a, b uint32) uint32 {
 		return uint32(uint64(int64(int32(a))*int64(int32(b))) >> 32)
 	},

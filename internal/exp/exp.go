@@ -206,6 +206,9 @@ func E7BMI(prof *timing.Profile) ([]SpeedupRow, string, error) {
 
 func cyclesOf(w workloads.Workload, prof *timing.Profile) (uint64, error) {
 	p, stop, err := flow.RunWith(w, prof)
+	if p != nil {
+		defer p.Release()
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -247,9 +250,12 @@ func E9Density() ([]DensityRow, string, error) {
 			return nil, "", err
 		}
 		if err := p.LoadProgram(comp); err != nil {
+			p.Release()
 			return nil, "", err
 		}
-		if stop := p.Run(w.Budget); stop.Reason != emu.StopExit || stop.Code != w.Expect {
+		stop := p.Run(w.Budget)
+		p.Release()
+		if stop.Reason != emu.StopExit || stop.Code != w.Expect {
 			return nil, "", fmt.Errorf("exp: %s compressed build broke: %v", w.Name, stop)
 		}
 		r := DensityRow{

@@ -191,7 +191,8 @@ func RunQTA(ctx context.Context, w workloads.Workload, prof *timing.Profile, opt
 }
 
 // RunWith executes a workload with the given plugins attached and
-// verifies the checksum.
+// verifies the checksum. The caller owns the returned platform and
+// releases it (vp.Platform.Release) when done with it.
 func RunWith(w workloads.Workload, prof *timing.Profile, plugins ...plugin.Plugin) (*vp.Platform, emu.StopInfo, error) {
 	p, err := vp.New(vp.Config{Profile: prof, Sensor: w.Sensor, Stream: w.Stream, UARTIn: w.UARTIn})
 	if err != nil {
@@ -199,10 +200,12 @@ func RunWith(w workloads.Workload, prof *timing.Profile, plugins ...plugin.Plugi
 	}
 	for _, pl := range plugins {
 		if err := p.Machine.Hooks.Register(pl); err != nil {
+			p.Release()
 			return nil, emu.StopInfo{}, err
 		}
 	}
 	if _, err := p.LoadSource(vp.Prelude + w.Source); err != nil {
+		p.Release()
 		return nil, emu.StopInfo{}, err
 	}
 	stop := p.Run(w.Budget)

@@ -161,6 +161,44 @@ func TestFaultPlanCaps(t *testing.T) {
 	}
 }
 
+// TestRequestFieldCaps: every sized request field has a cap; one past
+// it is a client error (400) and the cap itself is accepted (202).
+func TestRequestFieldCaps(t *testing.T) {
+	s, ts := httpServer(t, Config{Workers: 1, QueueDepth: 64})
+	s.execOverride = func(ctx context.Context, j *Job) (any, error) { return "ok", nil }
+	xtea := src(t, "xtea")
+	fault := func(f FaultSpec) Request {
+		f.GPRTransient = 1
+		return Request{Type: "fault", Source: xtea, Fault: &f}
+	}
+	irt := func(samples int) Request {
+		return Request{Type: "irt", IRQ: &IRQSpec{Workload: "pid_timer", Samples: samples}}
+	}
+	for _, c := range []struct {
+		field     string
+		atCap, up Request
+	}{
+		{"budget", Request{Type: "run", Source: xtea, Budget: maxBudget},
+			Request{Type: "run", Source: xtea, Budget: maxBudget + 1}},
+		{"timeout_ms", Request{Type: "run", Source: xtea, TimeoutMS: maxTimeoutMS},
+			Request{Type: "run", Source: xtea, TimeoutMS: maxTimeoutMS + 1}},
+		{"timeout_ms negative", Request{Type: "run", Source: xtea, TimeoutMS: 0},
+			Request{Type: "run", Source: xtea, TimeoutMS: -1}},
+		{"irq.samples", irt(maxIRQSamples), irt(maxIRQSamples + 1)},
+		{"irq.samples negative", irt(0), irt(-1)},
+		{"fault.shards", fault(FaultSpec{Shards: maxFaultShards}), fault(FaultSpec{Shards: maxFaultShards + 1})},
+		{"fault.shards negative", fault(FaultSpec{Shards: 0}), fault(FaultSpec{Shards: -1})},
+		{"fault.stack_bytes", fault(FaultSpec{StackBytes: maxStackBytes}), fault(FaultSpec{StackBytes: maxStackBytes + 1})},
+	} {
+		if resp, _ := postJob(t, ts, c.up); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s over the cap: status %d, want 400", c.field, resp.StatusCode)
+		}
+		if resp, _ := postJob(t, ts, c.atCap); resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s at the cap: status %d, want 202", c.field, resp.StatusCode)
+		}
+	}
+}
+
 func TestHTTPQueueOverflow429(t *testing.T) {
 	s, ts := httpServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})

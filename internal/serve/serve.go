@@ -235,15 +235,29 @@ func New(cfg Config) *Server {
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Per-request caps on a fault campaign, so one request cannot make the
-// server allocate an unbounded mutant plan or per-worker platform set.
+// server allocate an unbounded mutant plan, per-worker platform set,
+// shard set or ISR stack window.
 const (
 	maxFaultMutants = 1 << 20
 	maxFaultWorkers = 64
+	maxFaultShards  = 1 << 10
+	maxStackBytes   = 1 << 20
+)
+
+// Per-request caps on the other sized fields: the instruction budget
+// (per run, per mutant), the wall-clock timeout and the number of IRT
+// trigger points. Each sits far above what a sensible job asks for; a
+// larger value is a client error (400), not a job that holds a worker
+// for hours.
+const (
+	maxBudget     = 1 << 36
+	maxTimeoutMS  = 60 * 60 * 1000
+	maxIRQSamples = 1 << 16
 )
 
 // checkPlanSize rejects a fault spec whose mutant counts are negative
-// or whose plan or worker count exceeds the caps. Each count is checked
-// before summing, so the sum cannot overflow.
+// or whose plan, worker, shard or stack-window size exceeds the caps.
+// Each count is checked before summing, so the sum cannot overflow.
 func checkPlanSize(f *FaultSpec) error {
 	total := 0
 	for _, n := range []int{f.GPRTransient, f.GPRPermanent, f.MemPermanent, f.CodeBitflip} {
@@ -258,6 +272,12 @@ func checkPlanSize(f *FaultSpec) error {
 	if f.Workers > maxFaultWorkers {
 		return fmt.Errorf("fault workers must be <= %d, got %d", maxFaultWorkers, f.Workers)
 	}
+	if f.Shards < 0 || f.Shards > maxFaultShards {
+		return fmt.Errorf("fault shards must be in [0, %d], got %d", maxFaultShards, f.Shards)
+	}
+	if f.StackBytes > maxStackBytes {
+		return fmt.Errorf("fault stack_bytes must be <= %d, got %d", maxStackBytes, f.StackBytes)
+	}
 	return nil
 }
 
@@ -267,12 +287,18 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 	if !jobTypes[req.Type] {
 		return nil, fmt.Errorf("unknown job type %q (run, fault, wcet, qta, lint, subset, irt)", req.Type)
 	}
+	if req.Budget > maxBudget {
+		return nil, fmt.Errorf("budget must be <= %d, got %d", uint64(maxBudget), req.Budget)
+	}
+	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
+		return nil, fmt.Errorf("timeout_ms must be in [0, %d], got %d", maxTimeoutMS, req.TimeoutMS)
+	}
 	if req.Type == "irt" {
 		if req.IRQ == nil {
 			return nil, fmt.Errorf("irt job needs an irq spec")
 		}
-		if req.IRQ.Samples < 0 {
-			return nil, fmt.Errorf("irt samples must be >= 0, got %d", req.IRQ.Samples)
+		if req.IRQ.Samples < 0 || req.IRQ.Samples > maxIRQSamples {
+			return nil, fmt.Errorf("irt samples must be in [0, %d], got %d", maxIRQSamples, req.IRQ.Samples)
 		}
 		if req.IRQ.Workload != "" {
 			// A named demonstrator brings its own source; resolve it here
@@ -314,9 +340,6 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 	if req.Type == "fault" {
 		if req.Fault == nil {
 			return nil, fmt.Errorf("fault job needs a fault spec")
-		}
-		if req.Fault.Shards < 0 {
-			return nil, fmt.Errorf("fault shards must be >= 0, got %d", req.Fault.Shards)
 		}
 		if err := checkPlanSize(req.Fault); err != nil {
 			return nil, err

@@ -38,35 +38,46 @@ type Suite struct {
 }
 
 // Run executes every program in the suite on a fresh platform with the
-// coverage collector attached and returns the merged coverage.
+// coverage collector attached and returns the merged coverage. Each
+// platform is released once its program has run.
 func Run(s Suite, set isa.ExtSet) (*cover.Coverage, error) {
 	total := cover.New(set)
 	for _, prog := range s.Programs {
-		c := cover.New(set)
-		p, err := vp.New(vp.Config{ISA: set})
+		c, err := runProgram(s.Name, prog, set)
 		if err != nil {
 			return nil, err
-		}
-		if err := p.Machine.Hooks.Register(c); err != nil {
-			return nil, err
-		}
-		if _, err := p.LoadSource(vp.Prelude + prog.Source); err != nil {
-			return nil, fmt.Errorf("suites: %s/%s: %w", s.Name, prog.Name, err)
-		}
-		stop := p.Run(prog.Budget)
-		switch stop.Reason {
-		case emu.StopExit, emu.StopEbreak:
-		default:
-			return nil, fmt.Errorf("suites: %s/%s ended with %v", s.Name, prog.Name, stop)
-		}
-		if prog.MustExitZero && (stop.Reason != emu.StopExit || stop.Code != 0) {
-			return nil, fmt.Errorf("suites: %s/%s failed self-check %d", s.Name, prog.Name, stop.Code)
 		}
 		if err := total.Merge(c); err != nil {
 			return nil, err
 		}
 	}
 	return total, nil
+}
+
+// runProgram runs one suite program with a coverage collector attached.
+func runProgram(suite string, prog Program, set isa.ExtSet) (*cover.Coverage, error) {
+	c := cover.New(set)
+	p, err := vp.New(vp.Config{ISA: set})
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	if err := p.Machine.Hooks.Register(c); err != nil {
+		return nil, err
+	}
+	if _, err := p.LoadSource(vp.Prelude + prog.Source); err != nil {
+		return nil, fmt.Errorf("suites: %s/%s: %w", suite, prog.Name, err)
+	}
+	stop := p.Run(prog.Budget)
+	switch stop.Reason {
+	case emu.StopExit, emu.StopEbreak:
+	default:
+		return nil, fmt.Errorf("suites: %s/%s ended with %v", suite, prog.Name, stop)
+	}
+	if prog.MustExitZero && (stop.Reason != emu.StopExit || stop.Code != 0) {
+		return nil, fmt.Errorf("suites: %s/%s failed self-check %d", suite, prog.Name, stop.Code)
+	}
+	return c, nil
 }
 
 // Architectural generates the directed per-instruction suite for the

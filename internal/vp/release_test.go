@@ -169,6 +169,59 @@ func TestSparseSnapshotRestoresLikeFullCopy(t *testing.T) {
 	}
 }
 
+// scatterGuest writes one word in a data page at the bottom of RAM and
+// one in the stack page at the top: two dirty pages at the ends of a
+// store-watermark box that spans all of RAM.
+var scatterGuest = guest{name: "scatter", budget: 1000, src: `
+	la t0, buf
+	li a1, 0x1234
+	sw a1, 0(t0)
+	sw a1, -16(sp)
+	ebreak
+buf:
+	.word 0
+`}
+
+// TestSparseSnapshotScatteredStores: after a run that dirties only a low
+// data page and the top stack page, the rewind visits exactly those two
+// dirty runs and leaves RAM byte-identical to a full copy, on both
+// engines, from a snapshot taken before the run and from one taken
+// after it (when the stack page is part of the snapshot).
+func TestSparseSnapshotScatteredStores(t *testing.T) {
+	for _, e := range emu.Engines() {
+		for _, after := range []bool{false, true} {
+			p, prog := newGuest(t, scatterGuest, 0, e)
+			if after {
+				p.Run(scatterGuest.budget)
+				p.Machine.ClearStop()
+				p.Machine.ResetStoreWatermark()
+			}
+			s := p.Snapshot()
+			full := append([]byte(nil), p.RAM.Bytes()...)
+			for pass := 0; pass < 2; pass++ {
+				if after {
+					p.Machine.Hart.PC = prog.Entry // rerun from the top over the written pages
+				}
+				if stop := p.Run(scatterGuest.budget); stop.Reason != emu.StopEbreak {
+					t.Fatalf("%v after=%v pass %d: %v", e, after, pass, stop)
+				}
+				var runs [][2]uint32
+				p.Machine.ForEachDirtyRange(func(lo, hi uint32) { runs = append(runs, [2]uint32{lo, hi}) })
+				top := vp.RAMBase + p.RAM.Size()
+				if len(runs) != 2 || runs[0][0] != prog.Symbols["buf"] || runs[1][1] > top || top-runs[1][0] > emu.DirtyPageSize {
+					t.Errorf("%v after=%v pass %d: dirty runs %x, want the buf word and one run in the top page", e, after, pass, runs)
+				}
+				p.RestoreReuse(s, prog)
+				if !bytes.Equal(p.RAM.Bytes(), full) {
+					t.Fatalf("%v after=%v pass %d: RAM differs from the full copy at 0x%08x",
+						e, after, pass, vp.RAMBase+uint32(firstDiff(p.RAM.Bytes(), full)))
+				}
+			}
+			p.Release()
+		}
+	}
+}
+
 // TestUseAfterReleasePanics: a released platform panics on use and
 // never writes into the buffer it handed back, which the next platform
 // of that size now owns.

@@ -56,11 +56,6 @@ type Platform struct {
 	DMA     *dev.DMAStream
 	Plic    *dev.PLIC
 
-	// epoch is the interrupt epoch shared by the CLINT, UART, DMA engine
-	// and PLIC, which lets the machine skip polls that cannot change
-	// anything (emu.Machine.Epoch).
-	epoch dev.Epoch
-
 	// Restore accounting: how many rewinds this platform performed and
 	// how much RAM they actually copied. Plain fields (a platform is
 	// single-threaded); fleet aggregation happens via RecordStats.
@@ -98,7 +93,6 @@ func New(cfg Config) (*Platform, error) {
 		DMA:    dev.NewDMAStream(cfg.Stream),
 		Plic:   dev.NewPLIC(),
 	}
-	p.Clint.Epoch, p.UART.Epoch, p.DMA.Epoch, p.Plic.Epoch = &p.epoch, &p.epoch, &p.epoch, &p.epoch
 	p.UART.Feed(cfg.UARTIn)
 	syscon := &dev.SysCon{}
 	type mapping struct {
@@ -126,7 +120,12 @@ func New(cfg Config) (*Platform, error) {
 	p.Machine.Clint = p.Clint
 	p.Machine.ISA = cfg.ISA
 	p.Machine.Ext = extSources{p}
-	p.Machine.Epoch = &p.epoch
+	// The devices zero the machine's interrupt-poll deadline wherever an
+	// interrupt input or a next event can change, and mtime follows the
+	// cycle of the machine's last poll point.
+	dl := p.Machine.IRQDeadline()
+	p.Clint.IRQDeadline, p.UART.IRQDeadline, p.DMA.IRQDeadline, p.Plic.IRQDeadline = dl, dl, dl, dl
+	p.Clint.Now = p.Machine.PollCycle
 	syscon.OnExit = p.Machine.RequestStop
 
 	// The DMA engine reaches guest memory over the bus (WriteBytes feeds
@@ -145,10 +144,10 @@ func New(cfg Config) (*Platform, error) {
 // each full interrupt poll advances the DMA engine and the PLIC's
 // test-line latch to the current cycle, then mirrors the PLIC's live
 // pending state into MEIP. The machine skips the full poll while the
-// shared epoch is unchanged and the cycle counter is short of NextEvent
-// (and of the CLINT timer), because then it would find nothing new: a
-// Tick before NextEvent is a no-op and every level change bumps the
-// epoch. Device state thus changes only at full polls, guest MMIO
+// cycle counter is short of its deadline — NextEvent or the CLINT timer,
+// whichever is first — because then it would find nothing new: a Tick
+// before NextEvent is a no-op and every level change zeroes the
+// deadline. Device state thus changes only at full polls, guest MMIO
 // accesses and host calls, which all engines replicate exactly.
 type extSources struct{ p *Platform }
 
