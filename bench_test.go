@@ -378,6 +378,56 @@ func BenchmarkE10_PoolCampaign(b *testing.B) {
 	}
 }
 
+// BenchmarkE14_ISRCampaign runs the ISR-targeted dma_stream campaign the
+// way perfbench's campaign workload builds it: a 64 KiB platform, a
+// mutant budget of 8x the golden run's instructions, a 2-cycle
+// interrupt-latency budget, plan seed 1 (300 register, 150 memory and
+// 150 code faults on the handler and its stack), one worker, and the
+// golden run and translation pool from fault.Prepare. Hung mutants loop
+// through PLIC claims, faulting stores and trap entry until the budget
+// runs out, so this is the bus- and device-bound campaign. One op is one
+// campaign over the whole plan.
+func BenchmarkE14_ISRCampaign(b *testing.B) {
+	w := getWorkload(b, "dma_stream")
+	prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tg := &fault.Target{
+		Program: prog, Budget: w.Budget, RAMSize: 64 << 10,
+		Sensor: w.Sensor, Stream: w.Stream, UARTIn: w.UARTIn,
+		LatencyBudget: 2,
+	}
+	g, err := fault.RunGolden(tg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tg.Budget = 8 * g.Insts
+	golden, pool, err := fault.Prepare(tg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := fault.NewISRPlan(prog, w.Handler, fault.ISRPlanConfig{
+		Seed: 1, GPRTransient: 300, MemPermanent: 150, CodeBitflip: 150,
+		GoldenInsts: golden.Insts, StackTop: tg.StackTop(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := fault.CampaignOpt(tg, plan, fault.Options{Workers: 1, Golden: golden, Pool: pool})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Total != len(plan.Faults) {
+			b.Fatalf("short campaign: %d/%d", res.Total, len(plan.Faults))
+		}
+	}
+	b.ReportMetric(float64(len(plan.Faults))*float64(b.N)/b.Elapsed().Seconds(), "mutants/sec")
+}
+
 // BenchmarkE13_IRT regenerates the interrupt-response-time table
 // (EXPERIMENTS.md E13): per interrupt demonstrator, the static IRT
 // bound against the worst service latency an adversarially timed

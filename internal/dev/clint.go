@@ -1,7 +1,5 @@
 package dev
 
-import "fmt"
-
 // CLINT register offsets (single-hart subset of the SiFive CLINT layout).
 const (
 	CLINTMsip      uint32 = 0x0000 // software interrupt pending (bit 0)
@@ -98,44 +96,44 @@ func (c *CLINT) NextTimerEvent() (uint64, bool) {
 }
 
 // Load implements mem.Device.
-func (c *CLINT) Load(off uint32, size uint8) (uint32, error) {
+func (c *CLINT) Load(off uint32, size uint8) (uint32, bool) {
 	switch off {
 	case CLINTMsip:
 		if c.msip {
-			return 1, nil
+			return 1, true
 		}
-		return 0, nil
+		return 0, true
 	case CLINTMtimecmp:
-		return uint32(c.mtimecmp), nil
+		return uint32(c.mtimecmp), true
 	case CLINTMtimecmpH:
-		return uint32(c.mtimecmp >> 32), nil
+		return uint32(c.mtimecmp >> 32), true
 	case CLINTMtime:
-		return uint32(c.Time()), nil
+		return uint32(c.Time()), true
 	case CLINTMtimeH:
-		return uint32(c.Time() >> 32), nil
+		return uint32(c.Time() >> 32), true
 	}
-	return 0, fmt.Errorf("clint: bad offset 0x%x", off)
+	return 0, false
 }
 
 // Store implements mem.Device.
-func (c *CLINT) Store(off uint32, size uint8, val uint32) error {
+func (c *CLINT) Store(off uint32, size uint8, val uint32) bool {
 	expire(c.IRQDeadline)
 	switch off {
 	case CLINTMsip:
 		c.msip = val&1 != 0
-		return nil
+		return true
 	case CLINTMtimecmp:
 		c.mtimecmp = c.mtimecmp&^uint64(0xffffffff) | uint64(val)
-		return nil
+		return true
 	case CLINTMtimecmpH:
 		c.mtimecmp = c.mtimecmp&0xffffffff | uint64(val)<<32
-		return nil
+		return true
 	case CLINTMtime:
 		c.setTime(c.Time()&^uint64(0xffffffff) | uint64(val))
-		return nil
+		return true
 	case CLINTMtimeH:
 		c.setTime(c.Time()&0xffffffff | uint64(val)<<32)
-		return nil
+		return true
 	}
-	return fmt.Errorf("clint: bad offset 0x%x", off)
+	return false
 }

@@ -1,7 +1,5 @@
 package dev
 
-import "fmt"
-
 // DMA register offsets.
 const (
 	DMARing   uint32 = 0x00 // read/write: descriptor ring base address
@@ -223,14 +221,14 @@ func (d *DMAStream) Restore(s DMAState) {
 }
 
 // Load implements mem.Device.
-func (d *DMAStream) Load(off uint32, size uint8) (uint32, error) {
+func (d *DMAStream) Load(off uint32, size uint8) (uint32, bool) {
 	switch off {
 	case DMARing:
-		return d.ring, nil
+		return d.ring, true
 	case DMACount:
-		return d.count, nil
+		return d.count, true
 	case DMACtrl:
-		return 0, nil
+		return 0, true
 	case DMAStatus:
 		var st uint32
 		if d.busy {
@@ -239,37 +237,37 @@ func (d *DMAStream) Load(off uint32, size uint8) (uint32, error) {
 		if d.irq {
 			st |= DMAStatusIRQ
 		}
-		return st, nil
+		return st, true
 	case DMAClear:
-		return 0, nil
+		return 0, true
 	case DMAHead:
-		return d.head, nil
+		return d.head, true
 	}
-	return 0, fmt.Errorf("dma: bad offset 0x%x", off)
+	return 0, false
 }
 
 // Store implements mem.Device.
-func (d *DMAStream) Store(off uint32, size uint8, val uint32) error {
+func (d *DMAStream) Store(off uint32, size uint8, val uint32) bool {
 	expire(d.IRQDeadline)
 	switch off {
 	case DMARing:
 		d.ring = val
-		return nil
+		return true
 	case DMACount:
 		d.count = val
-		return nil
+		return true
 	case DMACtrl:
 		if val&1 != 0 {
 			d.kick()
 		}
-		return nil
+		return true
 	case DMAClear:
 		if val&1 != 0 {
 			d.irq = false
 		}
-		return nil
+		return true
 	case DMAStatus, DMAHead:
-		return nil // writes ignored
+		return true // writes ignored
 	}
-	return fmt.Errorf("dma: bad offset 0x%x", off)
+	return false
 }

@@ -1,7 +1,5 @@
 package dev
 
-import "fmt"
-
 // PLIC register offsets (single-context, flat-priority subset of the
 // platform-level interrupt controller: one pending word, one enable
 // word, and a claim register that acknowledges the lowest pending line).
@@ -157,12 +155,12 @@ func (p *PLIC) Restore(s PLICState) {
 }
 
 // Load implements mem.Device.
-func (p *PLIC) Load(off uint32, size uint8) (uint32, error) {
+func (p *PLIC) Load(off uint32, size uint8) (uint32, bool) {
 	switch off {
 	case PLICPending:
-		return p.sample(), nil
+		return p.sample(), true
 	case PLICEnable:
-		return p.enable, nil
+		return p.enable, true
 	case PLICClaim:
 		pend := p.sample() & p.enable
 		for i := 1; i < plicLines; i++ {
@@ -172,23 +170,23 @@ func (p *PLIC) Load(off uint32, size uint8) (uint32, error) {
 					p.trigPending = false
 					expire(p.IRQDeadline)
 				}
-				return uint32(i), nil
+				return uint32(i), true
 			}
 		}
-		return 0, nil
+		return 0, true
 	}
-	return 0, fmt.Errorf("plic: bad offset 0x%x", off)
+	return 0, false
 }
 
 // Store implements mem.Device.
-func (p *PLIC) Store(off uint32, size uint8, val uint32) error {
+func (p *PLIC) Store(off uint32, size uint8, val uint32) bool {
 	expire(p.IRQDeadline)
 	switch off {
 	case PLICEnable:
 		p.enable = val & (1<<plicLines - 1) &^ 1
-		return nil
+		return true
 	case PLICPending, PLICClaim:
-		return nil // writes ignored
+		return true // writes ignored
 	}
-	return fmt.Errorf("plic: bad offset 0x%x", off)
+	return false
 }

@@ -1,7 +1,5 @@
 package dev
 
-import "fmt"
-
 // SysCon register offsets.
 const (
 	SysConExit uint32 = 0x00 // write: halt simulation with exit code
@@ -18,22 +16,22 @@ type SysCon struct {
 }
 
 // Load implements mem.Device.
-func (s *SysCon) Load(off uint32, size uint8) (uint32, error) {
+func (s *SysCon) Load(off uint32, size uint8) (uint32, bool) {
 	if off == SysConExit {
-		return 0, nil
+		return 0, true
 	}
-	return 0, fmt.Errorf("syscon: bad offset 0x%x", off)
+	return 0, false
 }
 
 // Store implements mem.Device.
-func (s *SysCon) Store(off uint32, size uint8, val uint32) error {
+func (s *SysCon) Store(off uint32, size uint8, val uint32) bool {
 	if off == SysConExit {
 		if s.OnExit != nil {
 			s.OnExit(val)
 		}
-		return nil
+		return true
 	}
-	return fmt.Errorf("syscon: bad offset 0x%x", off)
+	return false
 }
 
 // Sensor register offsets.
@@ -68,22 +66,23 @@ func (s *Sensor) SetPos(p int) {
 }
 
 // Load implements mem.Device.
-func (s *Sensor) Load(off uint32, size uint8) (uint32, error) {
+func (s *Sensor) Load(off uint32, size uint8) (uint32, bool) {
 	switch off {
 	case SensorSample:
 		if s.pos >= len(s.samples) {
-			return 0, nil
+			return 0, true
 		}
 		v := s.samples[s.pos]
 		s.pos++
-		return uint32(int32(v)), nil
+		return uint32(int32(v)), true
 	case SensorCount:
-		return uint32(len(s.samples) - s.pos), nil
+		return uint32(len(s.samples) - s.pos), true
 	}
-	return 0, fmt.Errorf("sensor: bad offset 0x%x", off)
+	return 0, false
 }
 
-// Store implements mem.Device.
-func (s *Sensor) Store(off uint32, size uint8, val uint32) error {
-	return fmt.Errorf("sensor: read-only (offset 0x%x)", off)
+// Store implements mem.Device: the sensor is read-only, so every store
+// is refused.
+func (s *Sensor) Store(off uint32, size uint8, val uint32) bool {
+	return false
 }

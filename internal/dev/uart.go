@@ -7,7 +7,6 @@ package dev
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 )
 
@@ -72,42 +71,42 @@ func (u *UART) Restore(s UARTState) {
 }
 
 // Load implements mem.Device.
-func (u *UART) Load(off uint32, size uint8) (uint32, error) {
+func (u *UART) Load(off uint32, size uint8) (uint32, bool) {
 	switch off {
 	case UARTTxData:
-		return 0, nil
+		return 0, true
 	case UARTRxData:
 		if len(u.rx) == 0 {
-			return 0xffffffff, nil
+			return 0xffffffff, true
 		}
 		b := u.rx[0]
 		u.rx = u.rx[1:]
 		expire(u.IRQDeadline)
-		return uint32(b), nil
+		return uint32(b), true
 	case UARTStatus:
 		st := uint32(1) // tx always ready
 		if len(u.rx) > 0 {
 			st |= 2
 		}
-		return st, nil
+		return st, true
 	}
-	return 0, fmt.Errorf("uart: bad offset 0x%x", off)
+	return 0, false
 }
 
 // Store implements mem.Device.
-func (u *UART) Store(off uint32, size uint8, val uint32) error {
+func (u *UART) Store(off uint32, size uint8, val uint32) bool {
 	switch off {
 	case UARTTxData:
 		b := byte(val)
 		u.tx.WriteByte(b)
 		if u.out != nil {
 			if _, err := u.out.Write([]byte{b}); err != nil {
-				return err
+				return false
 			}
 		}
-		return nil
+		return true
 	case UARTRxData, UARTStatus:
-		return nil // writes ignored
+		return true // writes ignored
 	}
-	return fmt.Errorf("uart: bad offset 0x%x", off)
+	return false
 }

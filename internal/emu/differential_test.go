@@ -128,8 +128,8 @@ func TestALUDifferentialAgainstBig(t *testing.T) {
 		}
 		out := prog.Symbols["out"]
 		for i, pr := range pairs {
-			data, err := p.Machine.Bus.ReadBytes(out+uint32(4*i), 4)
-			if err != nil {
+			var data [4]byte
+			if err := p.Machine.Bus.ReadBytes(out+uint32(4*i), data[:]); err != nil {
 				t.Fatal(err)
 			}
 			got := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24

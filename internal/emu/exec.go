@@ -13,7 +13,7 @@ import (
 // trap was taken.
 func (m *Machine) memLoad(pc, addr uint32, size uint8) (uint32, bool) {
 	v, f := m.Bus.Load(addr, size)
-	if f != nil {
+	if f.Raised {
 		m.trap(f.Cause, f.Addr, pc)
 		return 0, false
 	}
@@ -31,7 +31,7 @@ func (m *Machine) memLoad(pc, addr uint32, size uint8) (uint32, bool) {
 // bytes are dropped, and the modelled I-cache is kept (only fence.i
 // flushes it), so stores near code no longer flush the whole cache.
 func (m *Machine) memStore(pc, addr uint32, size uint8, val uint32) (ok, invalidated bool) {
-	if f := m.Bus.Store(addr, size, val); f != nil {
+	if f := m.Bus.Store(addr, size, val); f.Raised {
 		m.trap(f.Cause, f.Addr, pc)
 		return false, false
 	}

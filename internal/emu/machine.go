@@ -732,7 +732,7 @@ func (m *Machine) InvalidateTBs() {
 		m.severChain(t)
 	}
 	m.stats.TBsInvalidated += uint64(len(m.tbs))
-	m.tbs = make(map[uint32]*tb)
+	clear(m.tbs)
 	m.codeLo, m.codeHi = ^uint32(0), 0
 	m.icache = nil
 	m.jmp = [jmpCacheSize]*tb{}
@@ -744,7 +744,7 @@ func (m *Machine) InvalidateTBs() {
 func (m *Machine) dropAllTraces() {
 	if len(m.traces) > 0 {
 		m.stats.TracesInvalidated += uint64(len(m.traces))
-		m.traces = nil
+		clear(m.traces)
 	}
 	m.abortRecording()
 }
@@ -945,20 +945,20 @@ func (m *Machine) severChain(t *tb) {
 // translate builds (or fetches) the translated block starting at pc,
 // consulting the private cache first, then the attached shared pool,
 // then decoding from memory.
-func (m *Machine) translate(pc uint32) (*tb, *mem.Fault) {
+func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
 	if t, ok := m.tbs[pc]; ok && t.prof == m.Profile &&
 		t.ext == m.ISA && t.sub == m.subset {
-		return t, nil
+		return t, mem.Fault{}
 	}
 	if t := m.poolFetch(pc); t != nil {
-		return t, nil
+		return t, mem.Fault{}
 	}
 	var insts []decode.Inst
 	var addrs []uint32
 	addr := pc
 	for len(insts) < maxTBInsts {
 		lo, f := m.Bus.Fetch16(addr)
-		if f != nil {
+		if f.Raised {
 			if len(insts) == 0 {
 				return nil, f
 			}
@@ -969,7 +969,7 @@ func (m *Machine) translate(pc uint32) (*tb, *mem.Fault) {
 			in = decode.Decode16(lo)
 		} else {
 			hi, f := m.Bus.Fetch16(addr + 2)
-			if f != nil {
+			if f.Raised {
 				if len(insts) == 0 {
 					return nil, f
 				}
@@ -1008,7 +1008,7 @@ func (m *Machine) translate(pc uint32) (*tb, *mem.Fault) {
 		}
 	}
 	m.install(t)
-	return t, nil
+	return t, mem.Fault{}
 }
 
 // install publishes a block (freshly translated or adopted from the
@@ -1043,7 +1043,7 @@ func (m *Machine) lookupTB(pc uint32) *tb {
 	}
 	m.stats.JumpCacheMisses++
 	t, f := m.translate(pc)
-	if f != nil {
+	if f.Raised {
 		m.trap(f.Cause, f.Addr, pc)
 		return nil
 	}
@@ -1274,7 +1274,7 @@ func (m *Machine) Step() *StopInfo {
 	h := &m.Hart
 	pc := h.PC
 	lo, f := m.Bus.Fetch16(pc)
-	if f != nil {
+	if f.Raised {
 		m.trap(f.Cause, f.Addr, pc)
 		return m.stop
 	}
@@ -1283,7 +1283,7 @@ func (m *Machine) Step() *StopInfo {
 		in = decode.Decode16(lo)
 	} else {
 		hi, f := m.Bus.Fetch16(pc + 2)
-		if f != nil {
+		if f.Raised {
 			m.trap(f.Cause, f.Addr, pc)
 			return m.stop
 		}

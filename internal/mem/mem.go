@@ -34,44 +34,49 @@ func (a Access) String() string {
 	return "access?"
 }
 
-// Fault describes a failed memory access in architectural terms.
+// Fault describes the outcome of a bus access in architectural terms.
+// The bus returns it by value; the zero Fault (Raised false) is a
+// successful access.
 type Fault struct {
-	Cause uint32 // isa.Exc* code
-	Addr  uint32 // faulting address (goes to mtval)
+	Cause  uint32 // isa.Exc* code
+	Addr   uint32 // faulting address (goes to mtval)
+	Raised bool   // the access failed; Cause and Addr describe why
 }
 
-func (f *Fault) Error() string {
+func (f Fault) Error() string {
 	return fmt.Sprintf("mem: %s at 0x%08x", isa.ExcName(f.Cause), f.Addr)
 }
 
-func accessFault(kind Access, addr uint32) *Fault {
+func accessFault(kind Access, addr uint32) Fault {
 	switch kind {
 	case Fetch:
-		return &Fault{isa.ExcInstAccessFault, addr}
+		return Fault{isa.ExcInstAccessFault, addr, true}
 	case Load:
-		return &Fault{isa.ExcLoadAccessFault, addr}
+		return Fault{isa.ExcLoadAccessFault, addr, true}
 	default:
-		return &Fault{isa.ExcStoreAccessFault, addr}
+		return Fault{isa.ExcStoreAccessFault, addr, true}
 	}
 }
 
-func misaligned(kind Access, addr uint32) *Fault {
+func misaligned(kind Access, addr uint32) Fault {
 	switch kind {
 	case Fetch:
-		return &Fault{isa.ExcInstAddrMisaligned, addr}
+		return Fault{isa.ExcInstAddrMisaligned, addr, true}
 	case Load:
-		return &Fault{isa.ExcLoadAddrMisaligned, addr}
+		return Fault{isa.ExcLoadAddrMisaligned, addr, true}
 	default:
-		return &Fault{isa.ExcStoreAddrMisaligned, addr}
+		return Fault{isa.ExcStoreAddrMisaligned, addr, true}
 	}
 }
 
 // Device is the target of MMIO accesses. Offsets are relative to the
-// device's mapped base; size is 1, 2 or 4. Devices may return an error to
-// signal an access fault.
+// device's mapped base; size is 1, 2 or 4. A device refuses an access
+// by returning ok=false, which the bus raises as an access fault. A
+// refusal carries no message: the cause and address are all the hart
+// sees.
 type Device interface {
-	Load(off uint32, size uint8) (uint32, error)
-	Store(off uint32, size uint8, val uint32) error
+	Load(off uint32, size uint8) (val uint32, ok bool)
+	Store(off uint32, size uint8, val uint32) (ok bool)
 }
 
 type region struct {
@@ -153,7 +158,7 @@ func (b *Bus) find(addr uint32, size uint8) *region {
 }
 
 // LoadKind performs a load or fetch of the given size.
-func (b *Bus) LoadKind(kind Access, addr uint32, size uint8) (uint32, *Fault) {
+func (b *Bus) LoadKind(kind Access, addr uint32, size uint8) (uint32, Fault) {
 	if kind == Fetch {
 		b.stats.Fetches++
 	} else {
@@ -169,29 +174,29 @@ func (b *Bus) LoadKind(kind Access, addr uint32, size uint8) (uint32, *Fault) {
 		return 0, accessFault(kind, addr)
 	}
 	if r.ram != nil {
-		return r.ram.load(addr-r.base, size), nil
+		return r.ram.load(addr-r.base, size), Fault{}
 	}
-	v, err := r.dev.Load(addr-r.base, size)
-	if err != nil {
+	v, ok := r.dev.Load(addr-r.base, size)
+	if !ok {
 		b.stats.Faults++
 		return 0, accessFault(kind, addr)
 	}
-	return v, nil
+	return v, Fault{}
 }
 
 // Load performs a data load of the given size (1, 2 or 4 bytes).
-func (b *Bus) Load(addr uint32, size uint8) (uint32, *Fault) {
+func (b *Bus) Load(addr uint32, size uint8) (uint32, Fault) {
 	return b.LoadKind(Load, addr, size)
 }
 
 // Fetch16 fetches one 16-bit instruction parcel.
-func (b *Bus) Fetch16(addr uint32) (uint16, *Fault) {
+func (b *Bus) Fetch16(addr uint32) (uint16, Fault) {
 	v, f := b.LoadKind(Fetch, addr, 2)
 	return uint16(v), f
 }
 
 // Store performs a data store of the given size (1, 2 or 4 bytes).
-func (b *Bus) Store(addr uint32, size uint8, val uint32) *Fault {
+func (b *Bus) Store(addr uint32, size uint8, val uint32) Fault {
 	b.stats.Stores++
 	if addr&uint32(size-1) != 0 {
 		b.stats.Faults++
@@ -204,50 +209,61 @@ func (b *Bus) Store(addr uint32, size uint8, val uint32) *Fault {
 	}
 	if r.ram != nil {
 		r.ram.store(addr-r.base, size, val)
-		return nil
+		return Fault{}
 	}
-	if err := r.dev.Store(addr-r.base, size, val); err != nil {
+	if !r.dev.Store(addr-r.base, size, val) {
 		b.stats.Faults++
 		return accessFault(Store, addr)
 	}
-	return nil
+	return Fault{}
 }
 
-// WriteBytes copies raw bytes into bus memory, for program loading. It
-// fails if any byte lands outside RAM. The written range (on error, the
-// written prefix) is reported through WriteNotify when set.
+// WriteBytes copies raw bytes into bus memory, for program loading and
+// the DMA engine. It fails if any byte lands outside RAM. The written
+// range (on error, the written prefix) is reported through WriteNotify
+// when set, in one call.
 func (b *Bus) WriteBytes(addr uint32, data []byte) error {
-	for i, by := range data {
-		a := addr + uint32(i)
-		r := b.find(a, 1)
-		if r == nil || r.ram == nil {
-			// Report the prefix actually written before failing, so the
-			// dirty-state tracking stays sound even on a partial write.
-			if b.WriteNotify != nil && i > 0 {
-				b.WriteNotify(addr, addr+uint32(i))
-			}
-			return fmt.Errorf("mem: WriteBytes: 0x%08x not RAM", a)
-		}
-		r.ram.bytes[a-r.base] = by
+	n, ok := b.copyRAM(addr, data, true)
+	if b.WriteNotify != nil && n > 0 {
+		b.WriteNotify(addr, addr+uint32(n))
 	}
-	if b.WriteNotify != nil && len(data) > 0 {
-		b.WriteNotify(addr, addr+uint32(len(data)))
+	if !ok {
+		return fmt.Errorf("mem: WriteBytes: 0x%08x not RAM", addr+uint32(n))
 	}
 	return nil
 }
 
-// ReadBytes copies raw bytes out of bus memory, for result inspection.
-func (b *Bus) ReadBytes(addr uint32, n int) ([]byte, error) {
-	out := make([]byte, n)
-	for i := range out {
-		a := addr + uint32(i)
+// ReadBytes fills dst from bus memory at addr, for result inspection and
+// the DMA engine. It fails if any byte lies outside RAM.
+func (b *Bus) ReadBytes(addr uint32, dst []byte) error {
+	if n, ok := b.copyRAM(addr, dst, false); !ok {
+		return fmt.Errorf("mem: ReadBytes: 0x%08x not RAM", addr+uint32(n))
+	}
+	return nil
+}
+
+// copyRAM copies between buf and the RAM at [addr, addr+len(buf)), into
+// RAM when write is set, with one region lookup per RAM region the span
+// touches. It returns how many bytes it copied, and ok=false when a byte
+// outside RAM stopped it there. A released RAM panics.
+func (b *Bus) copyRAM(addr uint32, buf []byte, write bool) (done int, ok bool) {
+	for done < len(buf) {
+		a := addr + uint32(done)
 		r := b.find(a, 1)
 		if r == nil || r.ram == nil {
-			return nil, fmt.Errorf("mem: ReadBytes: 0x%08x not RAM", a)
+			return done, false
 		}
-		out[i] = r.ram.bytes[a-r.base]
+		off := a - r.base
+		n := uint32(min(uint64(len(buf)-done), uint64(r.size-off)))
+		ram := r.ram.bytes[off : off+n]
+		if write {
+			copy(ram, buf[done:])
+		} else {
+			copy(buf[done:], ram)
+		}
+		done += int(n)
 	}
-	return out, nil
+	return done, true
 }
 
 // DirectRAM returns the base address and backing bytes of the largest
@@ -355,12 +371,12 @@ func (r *RAM) store(off uint32, size uint8, val uint32) {
 }
 
 // Load implements Device (bounds were checked by the bus).
-func (r *RAM) Load(off uint32, size uint8) (uint32, error) {
-	return r.load(off, size), nil
+func (r *RAM) Load(off uint32, size uint8) (uint32, bool) {
+	return r.load(off, size), true
 }
 
 // Store implements Device.
-func (r *RAM) Store(off uint32, size uint8, val uint32) error {
+func (r *RAM) Store(off uint32, size uint8, val uint32) bool {
 	r.store(off, size, val)
-	return nil
+	return true
 }

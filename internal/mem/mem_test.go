@@ -19,7 +19,7 @@ func TestRAMLoadStoreAllSizes(t *testing.T) {
 	var b Bus
 	mustMap(t, &b, 0x8000_0000, 0x1000, NewRAM(0x1000), "ram")
 
-	if f := b.Store(0x8000_0000, 4, 0x11223344); f != nil {
+	if f := b.Store(0x8000_0000, 4, 0x11223344); f.Raised {
 		t.Fatal(f)
 	}
 	cases := []struct {
@@ -35,7 +35,7 @@ func TestRAMLoadStoreAllSizes(t *testing.T) {
 	}
 	for _, c := range cases {
 		v, f := b.Load(c.addr, c.size)
-		if f != nil {
+		if f.Raised {
 			t.Fatalf("load 0x%x/%d: %v", c.addr, c.size, f)
 		}
 		if v != c.want {
@@ -60,17 +60,17 @@ func TestUnmappedAccessFaults(t *testing.T) {
 	var b Bus
 	mustMap(t, &b, 0x1000, 0x1000, NewRAM(0x1000), "ram")
 
-	if _, f := b.Load(0x0, 4); f == nil || f.Cause != isa.ExcLoadAccessFault {
+	if _, f := b.Load(0x0, 4); !f.Raised || f.Cause != isa.ExcLoadAccessFault {
 		t.Errorf("load unmapped: %v", f)
 	}
-	if f := b.Store(0x3000, 4, 0); f == nil || f.Cause != isa.ExcStoreAccessFault {
+	if f := b.Store(0x3000, 4, 0); !f.Raised || f.Cause != isa.ExcStoreAccessFault {
 		t.Errorf("store unmapped: %v", f)
 	}
-	if _, f := b.LoadKind(Fetch, 0x0, 2); f == nil || f.Cause != isa.ExcInstAccessFault {
+	if _, f := b.LoadKind(Fetch, 0x0, 2); !f.Raised || f.Cause != isa.ExcInstAccessFault {
 		t.Errorf("fetch unmapped: %v", f)
 	}
 	// Straddling the end of a region is a fault too.
-	if _, f := b.Load(0x1ffe, 4); f == nil {
+	if _, f := b.Load(0x1ffe, 4); !f.Raised {
 		t.Error("straddling load should fault")
 	}
 }
@@ -78,21 +78,50 @@ func TestUnmappedAccessFaults(t *testing.T) {
 func TestMisalignedFaults(t *testing.T) {
 	var b Bus
 	mustMap(t, &b, 0, 0x100, NewRAM(0x100), "ram")
-	if _, f := b.Load(1, 4); f == nil || f.Cause != isa.ExcLoadAddrMisaligned {
+	if _, f := b.Load(1, 4); !f.Raised || f.Cause != isa.ExcLoadAddrMisaligned {
 		t.Errorf("misaligned word load: %v", f)
 	}
-	if _, f := b.Load(1, 2); f == nil || f.Cause != isa.ExcLoadAddrMisaligned {
+	if _, f := b.Load(1, 2); !f.Raised || f.Cause != isa.ExcLoadAddrMisaligned {
 		t.Errorf("misaligned half load: %v", f)
 	}
-	if f := b.Store(2, 4, 0); f == nil || f.Cause != isa.ExcStoreAddrMisaligned {
+	if f := b.Store(2, 4, 0); !f.Raised || f.Cause != isa.ExcStoreAddrMisaligned {
 		t.Errorf("misaligned word store: %v", f)
 	}
-	if _, f := b.Fetch16(1); f == nil || f.Cause != isa.ExcInstAddrMisaligned {
+	if _, f := b.Fetch16(1); !f.Raised || f.Cause != isa.ExcInstAddrMisaligned {
 		t.Errorf("misaligned fetch: %v", f)
 	}
 	// Byte accesses are never misaligned.
-	if _, f := b.Load(3, 1); f != nil {
+	if _, f := b.Load(3, 1); f.Raised {
 		t.Errorf("byte load: %v", f)
+	}
+}
+
+// TestFaultingAccessAllocatesNothing: a faulting access returns its
+// fault by value, so a guest that faults in a loop (a hung fault-campaign
+// mutant) costs the allocator nothing.
+func TestFaultingAccessAllocatesNothing(t *testing.T) {
+	var b Bus
+	mustMap(t, &b, 0x1000, 0x1000, NewRAM(0x1000), "ram")
+	cases := []struct {
+		name   string
+		access func() Fault
+		cause  uint32
+	}{
+		{"load/access", func() Fault { _, f := b.Load(0x0, 4); return f }, isa.ExcLoadAccessFault},
+		{"store/access", func() Fault { return b.Store(0x3000, 4, 0) }, isa.ExcStoreAccessFault},
+		{"fetch/access", func() Fault { _, f := b.Fetch16(0x0); return f }, isa.ExcInstAccessFault},
+		{"load/misaligned", func() Fault { _, f := b.Load(0x1001, 4); return f }, isa.ExcLoadAddrMisaligned},
+		{"store/misaligned", func() Fault { return b.Store(0x1002, 4, 0) }, isa.ExcStoreAddrMisaligned},
+		{"fetch/misaligned", func() Fault { _, f := b.Fetch16(0x1001); return f }, isa.ExcInstAddrMisaligned},
+	}
+	for _, c := range cases {
+		var f Fault
+		if n := testing.AllocsPerRun(100, func() { f = c.access() }); n != 0 {
+			t.Errorf("%s: %v allocations per access, want 0", c.name, n)
+		}
+		if !f.Raised || f.Cause != c.cause {
+			t.Errorf("%s: fault %+v, want cause %d", c.name, f, c.cause)
+		}
 	}
 }
 
@@ -141,8 +170,8 @@ func TestWriteReadBytes(t *testing.T) {
 	if err := b.WriteBytes(0x140, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ReadBytes(0x140, 5)
-	if err != nil {
+	got := make([]byte, 5)
+	if err := b.ReadBytes(0x140, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -153,7 +182,7 @@ func TestWriteReadBytes(t *testing.T) {
 	if err := b.WriteBytes(0x1fe, data); err == nil {
 		t.Error("WriteBytes past region end should fail")
 	}
-	if _, err := b.ReadBytes(0x0, 1); err == nil {
+	if err := b.ReadBytes(0x0, got[:1]); err == nil {
 		t.Error("ReadBytes outside RAM should fail")
 	}
 }
@@ -202,11 +231,11 @@ func TestQuickStoreLoadIdentity(t *testing.T) {
 	mustMap(t, &b, 0, 0x10000, ram, "ram")
 	f := func(off uint16, val uint32) bool {
 		addr := uint32(off) &^ 3
-		if b.Store(addr, 4, val) != nil {
+		if b.Store(addr, 4, val).Raised {
 			return false
 		}
 		v, fault := b.Load(addr, 4)
-		return fault == nil && v == val
+		return !fault.Raised && v == val
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -214,7 +243,7 @@ func TestQuickStoreLoadIdentity(t *testing.T) {
 }
 
 func TestFaultError(t *testing.T) {
-	f := &Fault{Cause: isa.ExcLoadAccessFault, Addr: 0x1234}
+	f := Fault{Cause: isa.ExcLoadAccessFault, Addr: 0x1234, Raised: true}
 	if f.Error() == "" {
 		t.Error("empty fault message")
 	}

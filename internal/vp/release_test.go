@@ -222,6 +222,92 @@ func TestSparseSnapshotScatteredStores(t *testing.T) {
 	}
 }
 
+// smcStackGuest patches one of its own instructions halfway through a
+// loop whose every iteration also stores into the top stack page, then
+// prints and exits with its sum (100*1 + 100*2 = 300). The sum starts
+// from the stack word the loop stores, so a rewind that leaves the
+// stack page or the patched code behind changes the result.
+var smcStackGuest = guest{name: "selfmod-stack", budget: 10_000, src: `
+	lw s0, -4(sp)
+	la t0, patch
+	la t1, alt
+	lw t2, 0(t1)
+	li s1, 0
+	li s2, 200
+	li t3, 100
+loop:
+	addi s1, s1, 1
+patch:
+	addi s0, s0, 1
+	sw s0, -4(sp)
+	bne s1, t3, skip
+	sw t2, 0(t0)
+	fence.i
+skip:
+	blt s1, s2, loop
+	lw a0, -4(sp)
+	li t6, UART_TX
+	sb a0, 0(t6)
+	andi a0, a0, 0x7f
+	li t6, SYSCON_EXIT
+	sw a0, 0(t6)
+1:	j 1b
+alt:
+	addi s0, s0, 2
+`}
+
+// TestSparseSnapshotSelfModifyingGuest: a guest that stores into its own
+// code and into the top stack page is rewound with RestoreReuse, with a
+// translation pool attached and without one. The run after the rewind
+// must end exactly as on a fresh platform, on every engine: stop,
+// retired instructions, cycles, output and RAM. The pool is frozen from
+// a run stopped before the patch, so it holds the unpatched code and the
+// stack page is the only written page besides the image.
+func TestSparseSnapshotSelfModifyingGuest(t *testing.T) {
+	g := smcStackGuest
+	for _, e := range emu.Engines() {
+		fresh, _ := newGuest(t, g, 0, e)
+		want := fresh.Run(g.budget)
+		if want.Reason != emu.StopExit || want.Code != 300&0x7f {
+			t.Fatalf("%v: fresh run %v, want exit(%d)", e, want, 300&0x7f)
+		}
+		donor, _ := newGuest(t, g, 0, e)
+		donor.Run(200)
+		pool := donor.Machine.BuildTBPool()
+		donor.Release()
+		if pool.Size() == 0 {
+			t.Fatalf("%v: empty pool", e)
+		}
+		for _, withPool := range []bool{false, true} {
+			p, prog := newGuest(t, g, 0, e)
+			if withPool {
+				p.Machine.AttachTBPool(pool)
+			}
+			s := p.Snapshot()
+			if stop := p.Run(g.budget); stop != want {
+				t.Fatalf("%v pool=%v: first run %v, want %v", e, withPool, stop, want)
+			}
+			if hits := p.Machine.Stats().PoolHits; withPool && hits == 0 {
+				t.Errorf("%v: no block adopted from the pool", e)
+			}
+			p.RestoreReuse(s, prog)
+			stop := p.Run(g.budget)
+			m, f := p.Machine, fresh.Machine
+			if stop != want || m.Hart.Instret != f.Hart.Instret || m.Hart.Cycle != f.Hart.Cycle || p.Output() != fresh.Output() {
+				t.Errorf("%v pool=%v: rewound %v insts=%d cycles=%d out=%q; fresh %v insts=%d cycles=%d out=%q",
+					e, withPool, stop, m.Hart.Instret, m.Hart.Cycle, p.Output(),
+					want, f.Hart.Instret, f.Hart.Cycle, fresh.Output())
+			}
+			if !bytes.Equal(p.RAM.Bytes(), fresh.RAM.Bytes()) {
+				t.Errorf("%v pool=%v: RAM differs from the fresh run at 0x%08x",
+					e, withPool, vp.RAMBase+uint32(firstDiff(p.RAM.Bytes(), fresh.RAM.Bytes())))
+			}
+			p.Release()
+		}
+		fresh.Release()
+	}
+}
+
 // TestUseAfterReleasePanics: a released platform panics on use and
 // never writes into the buffer it handed back, which the next platform
 // of that size now owns.
@@ -244,6 +330,8 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		"LoadSource":   func() { p.LoadSource(vp.Prelude + selfModGuest.src) },
 		"Snapshot":     func() { p.Snapshot() },
 		"RestoreReuse": func() { p.RestoreReuse(s, prog) },
+		"WriteBytes":   func() { p.Machine.Bus.WriteBytes(vp.RAMBase, []byte{1}) },
+		"ReadBytes":    func() { p.Machine.Bus.ReadBytes(vp.RAMBase, make([]byte, 4)) },
 	}
 	for name, use := range uses {
 		func() {

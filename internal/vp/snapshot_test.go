@@ -76,12 +76,13 @@ buf:	.word 0
 		t.Fatalf("run: %v", stop)
 	}
 	buf := prog.Symbols["buf"]
-	data, err := p.Machine.Bus.ReadBytes(buf, 4)
+	data := make([]byte, 4)
+	err = p.Machine.Bus.ReadBytes(buf, data)
 	if err != nil || data[0] != 1 {
 		t.Fatalf("store missing: %v % x", err, data)
 	}
 	p.RestoreReuse(snap, prog)
-	data, err = p.Machine.Bus.ReadBytes(buf, 4)
+	err = p.Machine.Bus.ReadBytes(buf, data)
 	if err != nil || data[0] != 0 {
 		t.Errorf("RAM not rewound: % x", data)
 	}

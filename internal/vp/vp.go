@@ -175,8 +175,8 @@ func (e extSources) NextEvent() (uint64, bool) {
 type dmaBusMem struct{ p *Platform }
 
 func (m dmaBusMem) ReadWord(addr uint32) (uint32, error) {
-	b, err := m.p.Machine.Bus.ReadBytes(addr, 4)
-	if err != nil {
+	var b [4]byte
+	if err := m.p.Machine.Bus.ReadBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil

@@ -22,12 +22,12 @@ func TestDefaultsAndMemoryMap(t *testing.T) {
 	}
 	// Every mapped device must answer at its base.
 	for _, addr := range []uint32{vp.SysConBase, vp.CLINTBase, vp.UARTBase, vp.SensorBase, vp.RAMBase} {
-		if _, f := p.Machine.Bus.Load(addr, 4); f != nil {
+		if _, f := p.Machine.Bus.Load(addr, 4); f.Raised {
 			t.Errorf("load at 0x%08x: %v", addr, f)
 		}
 	}
 	// Holes fault.
-	if _, f := p.Machine.Bus.Load(0x4000_0000, 4); f == nil {
+	if _, f := p.Machine.Bus.Load(0x4000_0000, 4); !f.Raised {
 		t.Error("unmapped hole should fault")
 	}
 }
