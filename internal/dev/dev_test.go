@@ -2,6 +2,7 @@ package dev
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/mem"
@@ -79,6 +80,23 @@ func TestBadOffsetAllocatesNothing(t *testing.T) {
 		if ok {
 			t.Errorf("%s: offset 0xff0 was not refused", name)
 		}
+	}
+}
+
+// TestUARTTransmitAllocatesNothing: transmitting a byte to a console
+// writer costs the allocator nothing once the retained output has room.
+func TestUARTTransmitAllocatesNothing(t *testing.T) {
+	u := NewUART(io.Discard)
+	for i := 0; i < 1024; i++ { // grow the retained output, then empty it
+		u.Store(UARTTxData, 1, 'x')
+	}
+	u.Restore(UARTState{})
+	if n := testing.AllocsPerRun(100, func() {
+		if !u.Store(UARTTxData, 1, 'x') {
+			t.Fatal("transmit refused")
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations per transmitted byte, want 0", n)
 	}
 }
 

@@ -26,9 +26,10 @@ type UART struct {
 	// a pop of UARTRxData. Transmits and status reads leave it alone.
 	IRQDeadline *uint64
 
-	out io.Writer
-	tx  bytes.Buffer
-	rx  []byte
+	out  io.Writer
+	outB [1]byte // the byte being written to out, so Store allocates nothing
+	tx   bytes.Buffer
+	rx   []byte
 }
 
 // NewUART creates a UART writing transmitted bytes to out. A nil out
@@ -100,7 +101,8 @@ func (u *UART) Store(off uint32, size uint8, val uint32) bool {
 		b := byte(val)
 		u.tx.WriteByte(b)
 		if u.out != nil {
-			if _, err := u.out.Write([]byte{b}); err != nil {
+			u.outB[0] = b
+			if _, err := u.out.Write(u.outB[:]); err != nil {
 				return false
 			}
 		}

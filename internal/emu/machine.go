@@ -874,6 +874,10 @@ type EngineStats struct {
 	// Machine.irqDeadline); a program that touches no interrupt source
 	// pays one, at its first block boundary.
 	FullPolls uint64
+	// IdleInsts counts the instructions retired by fast-forwarding idle
+	// traces (execTrace) instead of executing them: how much of a run
+	// waited for an interrupt.
+	IdleInsts uint64
 }
 
 // TraceSideExitRate returns side exits / trace entries, or 0 with no
@@ -924,6 +928,7 @@ func (s *EngineStats) Add(other EngineStats) {
 	s.TracesInvalidated += other.TracesInvalidated
 	s.TracePoolHits += other.TracePoolHits
 	s.FullPolls += other.FullPolls
+	s.IdleInsts += other.IdleInsts
 }
 
 // Stats returns a snapshot of the engine counters.

@@ -78,6 +78,18 @@ import (
 // invalidation itself drops exactly the blocks and traces overlapping
 // the written range.
 //
+// Idle traces. Interrupt firmware waits for its next device event in a
+// self-looping trace (wfi, a critical section, a flag test), and
+// execTrace jumps such a loop to its last run before that event. The
+// skip is exact: the static rule (idleTrace: no store, no interpreter
+// call, CSR ops only rd=x0 writes of mstatus/mie, every register the
+// trace writes written before it is read) leaves a run's values to
+// registers it never writes, RAM and mstatus/mie; the dynamic check
+// (skipIdle: those CSRs back at their values, no full poll, no slow
+// load) shows the run changed none of them; and the skipped runs are
+// only those whose every poll point lies before the interrupt deadline,
+// where a poll does nothing, and that the budget gate admits.
+//
 // Compiled code only runs when no plugin hooks are registered and the
 // remaining budget outlasts the whole block or trace, so per-instruction
 // hook dispatch and budget stops never happen inside it; either gate
@@ -217,6 +229,9 @@ type traceCode struct {
 	// while the trace executes so a store into any constituent forces a
 	// side exit through the store-to-code path.
 	span *tb
+	// idle marks a trace whose runs all compute the same values
+	// (idleTrace), which execTrace may fast-forward.
+	idle bool
 }
 
 // chainOK validates a successor link before following it: the block must
@@ -386,6 +401,10 @@ func (m *Machine) execTrace(tr *traceCode, budget, left uint64) {
 	m.curTB = tr.span
 	a0 := m.Attempted()
 	for {
+		var mark idleMark
+		if tr.idle {
+			mark = idleMark{h.Mstatus, h.Mie, m.stats.FullPolls, m.Bus.Stats().Loads, h.Cycle, h.Instret}
+		}
 		if m.runOps(tr.ops) {
 			m.stats.TraceSideExits++
 			break
@@ -393,6 +412,9 @@ func (m *Machine) execTrace(tr *traceCode, budget, left uint64) {
 		m.stats.TraceRuns++
 		if m.stop != nil || h.PC != tr.entry {
 			break
+		}
+		if tr.idle {
+			m.skipIdle(mark, tr.nInsts, budget, left-(m.Attempted()-a0))
 		}
 		// Self-looping trace: re-enter without going through the engine
 		// loop. The boundary poll and the budget gate are replayed here
@@ -410,6 +432,45 @@ func (m *Machine) execTrace(tr *traceCode, budget, left uint64) {
 		}
 	}
 	m.curTB = nil
+}
+
+// idleMark is the state before one run of an idle trace: what the run
+// must leave unchanged, and the counters its cost is measured from. In
+// an idle trace only a slow load (sbSlowLoad) moves the bus load count.
+type idleMark struct {
+	mstatus, mie   uint32
+	polls, loads   uint64
+	cycle, instret uint64
+}
+
+// skipIdle fast-forwards an idle trace that just completed a run started
+// at mark and is back at its entry: if the run passes the dynamic check
+// it retires the K further runs that precede the interrupt deadline and
+// that the budget gate would admit (rem attempted instructions left,
+// nInsts per run), without executing them. See "Idle traces" above.
+func (m *Machine) skipIdle(mark idleMark, nInsts, budget, rem uint64) {
+	h := &m.Hart
+	if h.Mstatus != mark.mstatus || h.Mie != mark.mie ||
+		m.stats.FullPolls != mark.polls || m.Bus.Stats().Loads != mark.loads {
+		return
+	}
+	dc, di := h.Cycle-mark.cycle, h.Instret-mark.instret
+	if dc == 0 || m.irqDeadline <= h.Cycle || (budget == 0 && m.irqDeadline == ^uint64(0)) {
+		return // no poll-free span, or no bound at all
+	}
+	// The last skipped run ends at or before deadline-1, so every poll
+	// point inside the skip is a no-op.
+	k := (m.irqDeadline - 1 - h.Cycle) / dc
+	if budget != 0 {
+		if rem <= nInsts {
+			return
+		}
+		k = min(k, (rem-nInsts-1)/di+1) // runs the budget gate admits
+	}
+	h.Cycle += k * dc
+	h.Instret += k * di
+	m.stats.TraceRuns += k
+	m.stats.IdleInsts += k * di
 }
 
 // runOps executes micro-ops in order until the last one completes or an
@@ -811,7 +872,45 @@ func newTraceCode(rec []*tb, prof *timing.Profile, ext isa.ExtSet, sub isa.OpSet
 		ext:  ext,
 		sub:  sub,
 	}}
+	tr.idle = idleTrace(tr.ops)
 	return tr
+}
+
+// idleTrace is the static half of the idle-trace rule: no store, no
+// interpreter call, no CSR op but an rd=x0 write of mstatus or mie, and
+// no register read in a run before the run writes it, unless the trace
+// never writes it.
+func idleTrace(ops []sbOp) bool {
+	var wr, readFirst uint32 // register bitmasks: written so far, read before any write
+	for i := range ops {
+		op := &ops[i]
+		rs1, rs2, rd := uint32(1)<<(op.rs1&31), uint32(1)<<(op.rs2&31), uint32(1)<<(op.rd&31)
+		var reads, writes uint32
+		switch op.kind {
+		case sbExec, sbSw, sbSh, sbSb:
+			return false
+		case sbCSR:
+			if op.in.Rd != 0 || (op.in.CSR != isa.CSRMstatus && op.in.CSR != isa.CSRMie) {
+				return false
+			}
+			if op.in.Op == isa.OpCSRRW || op.in.Op == isa.OpCSRRS || op.in.Op == isa.OpCSRRC {
+				reads = rs1
+			}
+		case sbAcct, sbGuard:
+		case sbConst, sbJal:
+			writes = rd
+		case sbAddi, sbSlti, sbSltiu, sbAndi, sbOri, sbXori, sbSlli, sbSrli, sbSrai,
+			sbRoti, sbBexti, sbMv, sbLw, sbLh, sbLhu, sbLb, sbLbu, sbJalr:
+			reads, writes = rs1, rd
+		case sbBeq, sbBne, sbBlt, sbBge, sbBltu, sbBgeu:
+			reads = rs1 | rs2
+		default: // register-register ALU, sbBin, sbMulDyn
+			reads, writes = rs1|rs2, rd
+		}
+		readFirst |= reads &^ wr
+		wr |= writes &^ 1 // x0 is never written
+	}
+	return readFirst&wr == 0
 }
 
 // compile builds the block's micro-op form, a length-1 trace ending with

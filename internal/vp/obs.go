@@ -12,6 +12,7 @@ const (
 	MetricJumpCacheHitRate = "s4e_emu_jump_cache_hit_rate"
 	MetricChainFollows     = "s4e_emu_chain_follows_total"
 	MetricIRQFullPolls     = "s4e_emu_irq_full_polls_total"
+	MetricIdleInsts        = "s4e_emu_idle_insts_total"
 	MetricChainsSevered    = "s4e_emu_chains_severed_total"
 	MetricPoolHits         = "s4e_emu_pool_hits_total"
 	MetricPoolMisses       = "s4e_emu_pool_misses_total"
@@ -103,6 +104,7 @@ func (p *Platform) RecordStats(r *obs.Registry) {
 	r.Counter(MetricJumpCacheMisses, "jump cache misses").Add(es.JumpCacheMisses)
 	r.Counter(MetricChainFollows, "block transitions via chain links").Add(es.ChainFollows)
 	r.Counter(MetricIRQFullPolls, "interrupt polls that asked the devices").Add(es.FullPolls)
+	r.Counter(MetricIdleInsts, "instructions retired by fast-forwarding idle loops").Add(es.IdleInsts)
 	r.Counter(MetricChainsSevered, "chain links severed by invalidation").Add(es.ChainsSevered)
 	r.Counter(MetricPoolHits, "blocks adopted from the shared translation pool").Add(es.PoolHits)
 	r.Counter(MetricPoolMisses, "translations of pcs the shared pool does not cover").Add(es.PoolMisses)

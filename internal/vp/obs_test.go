@@ -152,6 +152,39 @@ func TestFullPollsCounter(t *testing.T) {
 	}
 }
 
+// TestIdleInstsCounter checks that the idle-loop fast-forward shows in
+// the run statistics: most of pid_timer's instructions are skipped runs
+// of its wfi loop, while crc32, a batch kernel with no idle loop, skips
+// none.
+func TestIdleInstsCounter(t *testing.T) {
+	for _, name := range []string{"pid_timer", "crc32"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		p, err := vp.New(vp.Config{Sensor: w.Sensor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.LoadSource(vp.Prelude + w.Source); err != nil {
+			t.Fatal(err)
+		}
+		if stop := p.Run(w.Budget); stop.Reason != emu.StopExit || stop.Code != w.Expect {
+			t.Fatalf("%s stopped with %v", name, stop)
+		}
+		r := obs.NewRegistry()
+		p.RecordStats(r)
+		idle, insts := r.Counter(vp.MetricIdleInsts, "").Value(), p.Machine.Hart.Instret
+		if idle != p.Machine.Stats().IdleInsts {
+			t.Errorf("%s: %s = %d, engine counted %d", name, vp.MetricIdleInsts, idle, p.Machine.Stats().IdleInsts)
+		}
+		if name == "pid_timer" && 2*idle < insts || name == "crc32" && idle != 0 {
+			t.Errorf("%s: %d of %d instructions fast-forwarded", name, idle, insts)
+		}
+		p.Release()
+	}
+}
+
 func TestEngineStatsInvalidation(t *testing.T) {
 	p, err := vp.New(vp.Config{})
 	if err != nil {
