@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// rpo computes a reverse postorder over the function at entry, along with
+// RPO computes a reverse postorder over the function at entry, along with
 // predecessor lists (intraprocedural edges only).
-func (g *Graph) rpo(entry uint32) (order []uint32, preds map[uint32][]uint32) {
+func (g *Graph) RPO(entry uint32) (order []uint32, preds map[uint32][]uint32) {
 	preds = make(map[uint32][]uint32)
 	seen := map[uint32]bool{}
 	var post []uint32
@@ -41,7 +41,7 @@ func (g *Graph) rpo(entry uint32) (order []uint32, preds map[uint32][]uint32) {
 // function at entry (Cooper–Harvey–Kennedy iterative algorithm). The
 // entry maps to itself.
 func (g *Graph) Dominators(entry uint32) map[uint32]uint32 {
-	order, preds := g.rpo(entry)
+	order, preds := g.RPO(entry)
 	rpoNum := make(map[uint32]int, len(order))
 	for i, u := range order {
 		rpoNum[u] = i
@@ -120,7 +120,7 @@ type Loop struct {
 // irreducible flow (a back edge whose target does not dominate its
 // source), which the WCET analyzer refuses to bound.
 func (g *Graph) NaturalLoops(entry uint32) ([]*Loop, error) {
-	order, preds := g.rpo(entry)
+	order, preds := g.RPO(entry)
 	idom := g.Dominators(entry)
 	inFunc := map[uint32]bool{}
 	for _, u := range order {

@@ -81,7 +81,7 @@ func (r *Result[S]) EdgeState(from, to uint32) (S, bool) {
 // TransferBlock). Blocks whose every incoming edge is infeasible keep no
 // state and are absent from Result.In/Out.
 func Solve[S any](g *cfg.Graph, entry uint32, d Domain[S]) *Result[S] {
-	order, preds := funcRPO(g, entry)
+	order, preds := g.RPO(entry)
 	idx := make(map[uint32]int, len(order))
 	for i, u := range order {
 		idx[u] = i
@@ -158,36 +158,4 @@ func Solve[S any](g *cfg.Graph, entry uint32, d Domain[S]) *Result[S] {
 			return r
 		}
 	}
-}
-
-// funcRPO computes reverse postorder and predecessor lists over the
-// intraprocedural region at entry (mirrors cfg's internal traversal).
-func funcRPO(g *cfg.Graph, entry uint32) (order []uint32, preds map[uint32][]uint32) {
-	preds = make(map[uint32][]uint32)
-	seen := map[uint32]bool{}
-	var post []uint32
-	var dfs func(u uint32)
-	dfs = func(u uint32) {
-		if seen[u] {
-			return
-		}
-		seen[u] = true
-		b, ok := g.Blocks[u]
-		if !ok {
-			return
-		}
-		for _, s := range b.Succs {
-			if _, ok := g.Blocks[s.Addr]; ok {
-				preds[s.Addr] = append(preds[s.Addr], u)
-				dfs(s.Addr)
-			}
-		}
-		post = append(post, u)
-	}
-	dfs(entry)
-	order = make([]uint32, len(post))
-	for i, u := range post {
-		order[len(post)-1-i] = u
-	}
-	return order, preds
 }

@@ -41,10 +41,7 @@ func (m *Machine) memStore(pc, addr uint32, size uint8, val uint32) (ok, invalid
 	if uint64(addr-m.ramBase) < uint64(len(m.ram)) {
 		m.noteRAMStore(addr, size)
 	}
-	if addr < m.codeHi && addr+uint32(size) > m.codeLo {
-		return true, m.invalidateRange(addr, addr+uint32(size))
-	}
-	return true, false
+	return true, m.invalidateRange(addr, addr+uint32(size))
 }
 
 // execOne executes one instruction, updating PC, counters and cycles.
@@ -53,7 +50,7 @@ func (m *Machine) memStore(pc, addr uint32, size uint8, val uint32) (ok, invalid
 func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 	h := &m.Hart
 	pc := h.PC
-	if !in.Valid() || !in.Op.In(m.ISA) || !m.subsetAllows(in.Op) {
+	if !in.Valid() || !in.Op.In(m.ext) || !m.subsetAllows(in.Op) {
 		m.trap(isa.ExcIllegalInst, in.Raw, pc)
 		return true
 	}
@@ -62,15 +59,15 @@ func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 	rs2v := h.Reg(in.Rs2)
 
 	cost := uint32(1)
-	if m.Profile != nil {
-		cost = m.Profile.DynamicCost(in, rs1v, rs2v)
+	if m.prof != nil {
+		cost = m.prof.DynamicCost(in, rs1v, rs2v)
 		if m.lastLoad != 0 {
 			r1, r2 := timing.ReadsIntRegs(in)
 			if r1 == m.lastLoad || r2 == m.lastLoad {
-				cost += m.Profile.LoadUseStall
+				cost += m.prof.LoadUseStall
 			}
 		}
-		if m.Profile.HasICache() {
+		if m.prof.HasICache() {
 			cost += m.icacheFetch(pc, in.Size)
 		}
 	}
@@ -341,8 +338,8 @@ func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 		m.trap(isa.ExcInstAddrMisaligned, target, pc)
 		return true
 	}
-	if m.Profile != nil {
-		cost += m.Profile.TransferPenalty(in.Op, taken)
+	if m.prof != nil {
+		cost += m.prof.TransferPenalty(in.Op, taken)
 	}
 	h.Instret++
 	h.Cycle += uint64(cost)

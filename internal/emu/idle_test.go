@@ -35,10 +35,6 @@ type idleLoop struct {
 	period int
 }
 
-// capBlockInsts is the translator's block length cap (maxTBInsts): a
-// block of that many instructions ends without a terminator.
-const capBlockInsts = 64
-
 func (l idleLoop) source() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, `
@@ -71,7 +67,7 @@ idle:
 		b.WriteString("\t" + op + "\n")
 	}
 	b.WriteString("\tlw t0, 0(s1)\n\tbnez t0, serve\n\twfi\n")
-	for i := 0; i < capBlockInsts-1; i++ {
+	for i := 0; i < emu.MaxTBInsts-1; i++ {
 		op := "nop"
 		if i < len(l.body) {
 			op = l.body[i]
@@ -211,7 +207,7 @@ func FuzzIdleLoop(f *testing.F) {
 		for i, b := range ops {
 			if i%2 == 0 && len(l.head) < 16 {
 				l.head = append(l.head, idleOp(b, true))
-			} else if len(l.body) < capBlockInsts-1 {
+			} else if len(l.body) < emu.MaxTBInsts-1 {
 				l.body = append(l.body, idleOp(b, false))
 			}
 		}

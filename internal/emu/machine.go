@@ -20,8 +20,10 @@ import (
 	"repro/internal/timing"
 )
 
-// maxTBInsts bounds translated-block length, like QEMU's TB size limit.
-const maxTBInsts = 64
+// MaxTBInsts bounds translated-block length, like QEMU's TB size limit.
+// Interrupts are polled at block boundaries, so it also bounds the
+// straight-line run between two polls (the static IRT bound uses it).
+const MaxTBInsts = 64
 
 // jmpCacheSize is the direct-mapped TB jump cache size (power of two),
 // the analog of QEMU's tb_jmp_cache sitting in front of the block map.
@@ -156,14 +158,6 @@ type tbCode struct {
 	info plugin.BlockInfo
 	end  uint32 // exclusive upper address
 
-	// prof, ext and sub record the timing profile, ISA configuration and
-	// subset allowlist the block (and its compiled micro-ops) were
-	// specialized against; a cached block is stale when any differs from
-	// the machine's.
-	prof *timing.Profile
-	ext  isa.ExtSet
-	sub  isa.OpSet
-
 	// ops is the compiled form, the block as a length-1 trace; compiled
 	// lazily on first compiled execution (eagerly when the block is
 	// frozen into a TBPool).
@@ -207,8 +201,10 @@ type Machine struct {
 	Hart cpu.Hart
 	Bus  *mem.Bus
 
-	// Profile selects the cycle model; nil means 1 cycle per instruction.
-	Profile *timing.Profile
+	// prof selects the cycle model; nil means 1 cycle per instruction.
+	// It and ext are fixed at New: every translation is specialized
+	// against them, so no cached block can outlive a change of either.
+	prof *timing.Profile
 
 	// Clint, when non-nil, drives timer/software interrupts from the
 	// cycle counter. Its mtime follows PollCycle (dev.CLINT.Now) and it
@@ -244,10 +240,10 @@ type Machine struct {
 	// Hooks is the plugin registry.
 	Hooks plugin.Hooks
 
-	// ISA restricts the accepted instruction set; executing an
+	// ext restricts the accepted instruction set; executing an
 	// instruction outside it raises an illegal-instruction trap, which
 	// is how the platform scales across ISA-module configurations.
-	ISA isa.ExtSet
+	ext isa.ExtSet
 
 	// HaltOnEbreak makes ebreak stop the machine instead of trapping.
 	HaltOnEbreak bool
@@ -315,10 +311,6 @@ type Machine struct {
 	// cycle count would be architecturally visible).
 	sbPolled bool
 
-	// codeWrites counts stores that hit translated code; state rewinds
-	// use it to detect runs that dirtied the code region.
-	codeWrites uint64
-
 	// ram/ramBase cache the bus's largest RAM region for the compiled
 	// engine's inline load/store fast path; resolved lazily.
 	ram     []byte
@@ -360,12 +352,14 @@ type Machine struct {
 	icache []uint32
 }
 
-// New creates a machine on the given bus with the full ISA enabled, the
-// unit timing model, and ebreak halting.
-func New(bus *mem.Bus) *Machine {
+// New creates a machine on the given bus with ebreak halting, the cycle
+// model prof (nil: 1 cycle per instruction) and the instruction set ext.
+// Both are fixed for the machine's lifetime.
+func New(bus *mem.Bus, prof *timing.Profile, ext isa.ExtSet) *Machine {
 	m := &Machine{
 		Bus:          bus,
-		ISA:          isa.RV32Full,
+		prof:         prof,
+		ext:          ext,
 		HaltOnEbreak: true,
 		tbs:          make(map[uint32]*tb),
 		storeLo:      ^uint32(0),
@@ -381,12 +375,15 @@ func New(bus *mem.Bus) *Machine {
 
 // SetSubset installs an instruction allowlist: with a non-empty set the
 // machine traps (illegal instruction) on any op outside it, on every
-// engine. The empty set removes the restriction. Cached translations
-// are tagged with the subset they were specialized against, so changing
-// it never reuses stale dispatch tables — like a profile or ISA change.
+// engine. The empty set removes the restriction. Translations are
+// specialized against the subset, so it flushes the translation cache
+// (and, like fence.i, the modelled I-cache) and detaches an attached
+// pool built under another subset.
 func (m *Machine) SetSubset(s isa.OpSet) {
 	m.subset = s
 	m.subsetOn = !s.Empty()
+	m.InvalidateTBs()
+	m.AttachTBPool(m.pool)
 }
 
 // Subset returns the installed instruction allowlist (empty when
@@ -558,10 +555,11 @@ func (m *Machine) DirtyOverlaps(lo, hi uint32) bool {
 }
 
 // CodePagesDirty reports whether any translated block overlaps dirty
-// state. A watermark box disjoint from the code bounding box answers
-// without visiting a block; inside it, scattered data stores around a
-// code region do not read as "code may be stale" — only a block whose
-// own pages were written does.
+// state: the one test of whether a cached translation may be stale. A
+// watermark box disjoint from the code bounding box answers without
+// visiting a block; inside it, scattered data stores around a code
+// region do not read as "code may be stale" — only a block whose own
+// pages were written does.
 func (m *Machine) CodePagesDirty() bool {
 	if m.storeLo >= m.storeHi || m.storeHi <= m.codeLo || m.storeLo >= m.codeHi {
 		return false
@@ -658,10 +656,6 @@ func pageRuns(words []uint64, fn func(first, end int)) {
 	}
 }
 
-// CodeRange returns the address range currently covered by translated
-// blocks; lo > hi means the cache is empty.
-func (m *Machine) CodeRange() (lo, hi uint32) { return m.codeLo, m.codeHi }
-
 // FlushICache empties the modelled instruction cache without touching
 // the translation cache (state rewinds use it so cycle counts never
 // depend on what ran before).
@@ -689,7 +683,7 @@ func (m *Machine) Reset(pc uint32) {
 // icacheFetch simulates the instruction-cache lookup for one fetch and
 // returns the accumulated miss penalty.
 func (m *Machine) icacheFetch(pc uint32, size uint8) uint32 {
-	p := m.Profile
+	p := m.prof
 	lb := p.ICacheLineBytes
 	if m.icache == nil {
 		m.icache = make([]uint32, p.ICacheLines)
@@ -778,8 +772,9 @@ func (m *Machine) abortRecording() {
 
 // InvalidateRange drops only the translated blocks overlapping [lo, hi)
 // — the store-to-code path, where a full flush would retranslate the
-// whole working set. All chains are severed (a surviving block may link
-// to a dropped one) and the jump cache is cleared, but the modelled
+// whole working set. A range outside the code bounding box returns at
+// once. Otherwise all chains are severed (a surviving block may link to
+// a dropped one) and the jump cache is cleared, but the modelled
 // I-cache is preserved: a data store does not flush a hardware
 // instruction cache, only fence.i does.
 func (m *Machine) InvalidateRange(lo, hi uint32) {
@@ -790,7 +785,9 @@ func (m *Machine) InvalidateRange(lo, hi uint32) {
 // whether the currently executing block was dropped, so the execution
 // loops know their compiled code is stale.
 func (m *Machine) invalidateRange(lo, hi uint32) (hitCurrent bool) {
-	m.codeWrites++
+	if hi <= m.codeLo || lo >= m.codeHi {
+		return false
+	}
 	newLo, newHi := ^uint32(0), uint32(0)
 	for pc, t := range m.tbs {
 		if lo < t.end && t.info.PC < hi {
@@ -815,18 +812,13 @@ func (m *Machine) invalidateRange(lo, hi uint32) (hitCurrent bool) {
 	return m.curTB != nil && lo < m.curTB.end && m.curTB.info.PC < hi
 }
 
-// CodeWrites returns the number of stores that hit translated code since
-// machine construction. State rewinds compare it across a run to decide
-// whether the translation cache survives.
-func (m *Machine) CodeWrites() uint64 { return m.codeWrites }
-
 // EngineStats are the engine's lifetime performance counters, the
 // regression surface for the translation-cache and chaining machinery:
 // perf PRs compare these (jump-cache hit rate in particular), not just
 // wall time.
 type EngineStats struct {
 	// TBsCompiled counts blocks translated, including retranslations
-	// after invalidation or a profile/ISA change.
+	// after invalidation or a subset change.
 	TBsCompiled uint64
 	// TBsInvalidated counts cached blocks dropped by fence.i, code
 	// stores, resets and full flushes.
@@ -951,8 +943,7 @@ func (m *Machine) severChain(t *tb) {
 // consulting the private cache first, then the attached shared pool,
 // then decoding from memory.
 func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
-	if t, ok := m.tbs[pc]; ok && t.prof == m.Profile &&
-		t.ext == m.ISA && t.sub == m.subset {
+	if t, ok := m.tbs[pc]; ok {
 		return t, mem.Fault{}
 	}
 	if t := m.poolFetch(pc); t != nil {
@@ -961,7 +952,7 @@ func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
 	var insts []decode.Inst
 	var addrs []uint32
 	addr := pc
-	for len(insts) < maxTBInsts {
+	for len(insts) < MaxTBInsts {
 		lo, f := m.Bus.Fetch16(addr)
 		if f.Raised {
 			if len(insts) == 0 {
@@ -984,7 +975,7 @@ func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
 		}
 		insts = append(insts, in)
 		addrs = append(addrs, addr)
-		if !in.Valid() || in.Op.IsControlFlow() || !in.Op.In(m.ISA) ||
+		if !in.Valid() || in.Op.IsControlFlow() || !in.Op.In(m.ext) ||
 			!m.subsetAllows(in.Op) {
 			break // terminator: executing it traps or transfers control
 		}
@@ -993,16 +984,11 @@ func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
 		}
 		addr += uint32(in.Size)
 	}
-	c := &tbCode{
-		info: plugin.BlockInfo{PC: pc, Insts: insts, Addrs: addrs},
-		prof: m.Profile,
-		ext:  m.ISA,
-		sub:  m.subset,
-	}
+	c := &tbCode{info: plugin.BlockInfo{PC: pc, Insts: insts, Addrs: addrs}}
 	c.end = pc + c.info.Size()
 	t := &tb{tbCode: c}
 	m.stats.TBsCompiled++
-	if p := m.activePool(); p != nil {
+	if p := m.pool; p != nil {
 		// The pool covers this pc but could not serve it (mutated bytes
 		// under the block): this translation is a
 		// private overlay compile on top of the shared pool.
@@ -1020,12 +1006,6 @@ func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
 // pool) into the private cache and the code-range bookkeeping.
 func (m *Machine) install(t *tb) {
 	pc := t.info.PC
-	if old := m.tbs[pc]; old != nil {
-		// A stale block (profile/ISA/subset change) is replaced; make
-		// sure nothing chains to it any more.
-		m.severChain(old)
-		m.stats.TBsInvalidated++
-	}
 	m.tbs[pc] = t
 	if pc < m.codeLo {
 		m.codeLo = pc
@@ -1041,8 +1021,7 @@ func (m *Machine) install(t *tb) {
 // and nil is returned.
 func (m *Machine) lookupTB(pc uint32) *tb {
 	slot := pc >> 1 & (jmpCacheSize - 1)
-	if t := m.jmp[slot]; t != nil && t.info.PC == pc && t.prof == m.Profile &&
-		t.ext == m.ISA && t.sub == m.subset {
+	if t := m.jmp[slot]; t != nil && t.info.PC == pc {
 		m.stats.JumpCacheHits++
 		return t
 	}
@@ -1175,8 +1154,8 @@ func (m *Machine) trap(cause, tval, pc uint32) {
 		m.excSeen, m.excInstret = true, h.Instret
 	}
 	h.Trap(cause, tval, pc)
-	if m.Profile != nil {
-		h.Cycle += uint64(m.Profile.TrapPenalty)
+	if m.prof != nil {
+		h.Cycle += uint64(m.prof.TrapPenalty)
 	}
 	m.lastLoad = 0
 }

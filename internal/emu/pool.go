@@ -34,6 +34,13 @@ import (
 // the pristine image, which is exactly the contract
 // vp.Platform.RestoreReuse already maintains.
 //
+// Specialization. Compiled code is specialized against a timing
+// profile, an ISA and a subset allowlist. A machine's profile and ISA
+// are fixed when it is built, and SetSubset flushes its cache, so a
+// cached block never needs a specialization check. A pool carries the
+// one tag: AttachTBPool (and SetSubset, through it) attaches a pool only
+// to a machine of the same specialization.
+//
 // Adopted blocks are wrapped in a private tb (per-machine chain links)
 // and inserted into the machine's private cache, so store-to-code
 // invalidation, jump caching and block chaining treat them exactly like
@@ -59,34 +66,21 @@ type TBPool struct {
 	traces map[uint32]*traceCode
 }
 
-// CodeClean reports whether the machine's translated code bytes are
-// still the loaded image: no store ever hit translated code and no
-// translation overlaps a written page. Only a run that leaves them so
-// may publish its compiled state (BuildTBPool) for machines that boot
-// from the pristine image.
-func (m *Machine) CodeClean() bool {
-	return m.codeWrites == 0 && !m.CodePagesDirty()
-}
-
 // BuildTBPool freezes the machine's current translation cache into a
-// shareable pool: every cached block matching the machine's current
-// profile/ISA specialization — and whose bytes are untouched per the
+// shareable pool: every cached block whose bytes are untouched per the
 // machine's dirty state, so the compilation still reflects the
-// pristine image — is compiled (if it has not been yet) and published.
+// pristine image, is compiled (if it has not been yet) and published.
 // The machine keeps its private cache; the returned pool holds only the
 // immutable compiled parts. Returns an empty pool when the cache is
 // empty.
 func (m *Machine) BuildTBPool() *TBPool {
 	p := &TBPool{
-		prof:   m.Profile,
-		ext:    m.ISA,
+		prof:   m.prof,
+		ext:    m.ext,
 		sub:    m.subset,
 		blocks: make(map[uint32]*tbCode, len(m.tbs)),
 	}
 	for pc, t := range m.tbs {
-		if t.prof != m.Profile || t.ext != m.ISA || t.sub != m.subset {
-			continue // stale specialization; do not publish
-		}
 		if m.DirtyOverlaps(pc, t.end) {
 			// The donor wrote bytes under this block since its last
 			// pristine rewind: the compilation may not match the image
@@ -97,14 +91,11 @@ func (m *Machine) BuildTBPool() *TBPool {
 			// Freeze eagerly: pooled blocks must never be mutated after
 			// publication, so lazy compilation cannot cross the pool
 			// boundary (it would race between attached machines).
-			t.tbCode.compile()
+			t.tbCode.compile(m)
 		}
 		p.blocks[pc] = t.tbCode
 	}
 	for pc, tr := range m.traces {
-		if tr.prof != m.Profile || tr.ext != m.ISA || tr.sub != m.subset {
-			continue
-		}
 		if m.DirtyOverlaps(tr.lo, tr.hi) {
 			// Same pristine-image rule as blocks, over the trace's whole
 			// constituent range.
@@ -126,35 +117,29 @@ func (p *TBPool) Traces() int { return len(p.traces) }
 
 // AttachTBPool attaches a shared translation pool to the machine.
 // Lookups consult the pool after the private cache; blocks are adopted
-// only while the machine's profile/ISA match the pool's specialization
-// and the block's bytes are untouched per the dirty-state check
-// (DirtyOverlaps). Attaching nil detaches; already-adopted blocks
-// remain in the private cache.
-func (m *Machine) AttachTBPool(p *TBPool) { m.pool = p }
+// only while the block's bytes are untouched per the dirty-state check
+// (DirtyOverlaps). A pool built under another profile, ISA or subset is
+// not attached. Attaching nil detaches; already-adopted blocks remain
+// in the private cache.
+func (m *Machine) AttachTBPool(p *TBPool) {
+	if p != nil && (p.prof != m.prof || p.ext != m.ext || p.sub != m.subset) {
+		p = nil
+	}
+	m.pool = p
+}
 
 // TBPoolAttached reports whether a shared pool is attached.
 func (m *Machine) TBPoolAttached() bool { return m.pool != nil }
-
-// activePool returns the attached pool if it is usable for this
-// machine: the machine's specialization matches the pool's.
-func (m *Machine) activePool() *TBPool {
-	p := m.pool
-	if p == nil || p.prof != m.Profile || p.ext != m.ISA || p.sub != m.subset {
-		return nil
-	}
-	return p
-}
 
 // poolFetch tries to adopt the block at pc from the attached pool. On
 // success the block is installed into the private cache (wrapped with
 // fresh per-machine link state) and returned; nil means the pool cannot
 // serve this pc and the caller should translate privately.
 func (m *Machine) poolFetch(pc uint32) *tb {
-	p := m.activePool()
-	if p == nil {
+	if m.pool == nil {
 		return nil
 	}
-	c := p.blocks[pc]
+	c := m.pool.blocks[pc]
 	if c == nil {
 		return nil // accounted as PoolMisses by the translate path
 	}

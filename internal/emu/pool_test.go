@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/timing"
 	"repro/internal/vp"
 )
 
@@ -202,5 +203,46 @@ func TestResetDetachesPool(t *testing.T) {
 	}
 	if p.Machine.TBPoolAttached() {
 		t.Error("pool still attached after Reset")
+	}
+}
+
+// TestTBPoolOtherProfileNeverAdopted: pooled code is compiled against
+// the donor's timing profile, so a machine built with another profile
+// must never adopt it — it compiles privately and counts exactly the
+// cycles of a fresh machine of its own profile, on every engine.
+func TestTBPoolOtherProfileNeverAdopted(t *testing.T) {
+	pool := buildPool(t, poolProg) // donor: nil profile, 1 cycle per instruction
+	run := func(prof *timing.Profile, engine emu.Engine, pool *emu.TBPool) *emu.Machine {
+		t.Helper()
+		p, err := vp.New(vp.Config{Profile: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.LoadSource(vp.Prelude + poolProg); err != nil {
+			t.Fatal(err)
+		}
+		p.Machine.Engine = engine
+		p.Machine.AttachTBPool(pool)
+		if stop := p.Run(1_000_000); stop.Reason != emu.StopEbreak {
+			t.Fatalf("%v: %v", engine, stop)
+		}
+		return p.Machine
+	}
+	for _, prof := range []*timing.Profile{timing.EdgeSmall(), timing.EdgeFast()} {
+		for _, engine := range emu.Engines() {
+			got, want := run(prof, engine, pool), run(prof, engine, nil)
+			if hits := got.Stats().PoolHits; hits != 0 {
+				t.Errorf("%s/%v: %d blocks adopted from a pool of another profile", prof.Name(), engine, hits)
+			}
+			if got.Hart.Cycle != want.Hart.Cycle || got.Hart.Instret != want.Hart.Instret ||
+				got.Hart.Reg(isa.A0) != want.Hart.Reg(isa.A0) {
+				t.Errorf("%s/%v: cycles/insts/a0 %d/%d/%d, fresh machine %d/%d/%d", prof.Name(), engine,
+					got.Hart.Cycle, got.Hart.Instret, got.Hart.Reg(isa.A0),
+					want.Hart.Cycle, want.Hart.Instret, want.Hart.Reg(isa.A0))
+			}
+			if got.Hart.Cycle == got.Hart.Instret {
+				t.Errorf("%s/%v: cycles equal instructions; the profile does not show", prof.Name(), engine)
+			}
+		}
 	}
 }

@@ -148,3 +148,59 @@ handler:
 		}
 	}
 }
+
+// TestSetSubsetAfterRun: installing a subset on a machine whose cache
+// holds code compiled without it must take effect at once. After an
+// unrestricted run (own translations, or blocks and traces adopted from
+// a pool), a rewind and SetSubset, the next run traps on the first
+// out-of-subset op on every engine, exactly as a fresh subset machine.
+func TestSetSubsetAfterRun(t *testing.T) {
+	const src = `
+	li   a0, 5
+	li   a1, 7
+	li   t0, 100
+bad:	mul  a2, a0, a1
+	addi t0, t0, -1
+	bnez t0, bad
+	ebreak
+`
+	for _, engine := range emu.Engines() {
+		for _, pooled := range []bool{false, true} {
+			p, err := vp.New(vp.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := p.LoadSource(vp.Prelude + src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Machine.Engine = engine
+			if pooled {
+				p.Machine.AttachTBPool(buildPool(t, src))
+			}
+			base := p.Snapshot()
+			if stop := p.Run(10_000); stop.Reason != emu.StopEbreak {
+				t.Fatalf("%v pooled=%v: unrestricted run: %v", engine, pooled, stop)
+			}
+			if got := p.Machine.Hart.Reg(isa.A2); got != 35 {
+				t.Fatalf("%v pooled=%v: a2 = %d, want 35", engine, pooled, got)
+			}
+			if pooled && p.Machine.Stats().PoolHits == 0 {
+				t.Fatalf("%v: unrestricted run adopted nothing from the pool", engine)
+			}
+
+			p.RestoreReuse(base, prog)
+			p.Machine.SetSubset(rv32iOnly())
+			if p.Machine.TBPoolAttached() {
+				t.Errorf("%v pooled=%v: pool built without the subset still attached", engine, pooled)
+			}
+			stop := p.Run(10_000)
+			if stop.Reason != emu.StopTrap || stop.Cause != isa.ExcIllegalInst || stop.PC != prog.Symbols["bad"] {
+				t.Errorf("%v pooled=%v: stop = %v, want illegal-instruction trap at the mul", engine, pooled, stop)
+			}
+			if got := p.Machine.Hart.Instret; got != 3 {
+				t.Errorf("%v pooled=%v: instret = %d, want 3", engine, pooled, got)
+			}
+		}
+	}
+}

@@ -213,9 +213,6 @@ type sbOp struct {
 // TBPool can publish it to any number of machines.
 type traceCode struct {
 	entry  uint32
-	prof   *timing.Profile
-	ext    isa.ExtSet
-	sub    isa.OpSet
 	blocks []*tbCode
 	ops    []sbOp
 	// nInsts is the architectural instruction count of a fully taken
@@ -232,13 +229,6 @@ type traceCode struct {
 	// idle marks a trace whose runs all compute the same values
 	// (idleTrace), which execTrace may fast-forward.
 	idle bool
-}
-
-// chainOK validates a successor link before following it: the block must
-// start at the new PC and match the machine's current specialization.
-func (m *Machine) chainOK(t *tb, pc uint32) bool {
-	return t != nil && t.info.PC == pc && t.prof == m.Profile &&
-		t.ext == m.ISA && t.sub == m.subset
 }
 
 // runSuperblock is the compiled engine loop: block lookup and chaining,
@@ -329,7 +319,7 @@ func (m *Machine) runSuperblock(budget uint64) StopInfo {
 			m.interpBlock(cur, budget, &left)
 		} else {
 			if cur.ops == nil {
-				cur.tbCode.compile()
+				cur.tbCode.compile(m)
 			}
 			a0 := m.Attempted()
 			m.curTB = cur
@@ -345,10 +335,10 @@ func (m *Machine) runSuperblock(budget uint64) StopInfo {
 		prev = cur
 		npc := h.PC
 		switch {
-		case m.chainOK(cur.succ[0], npc):
+		case cur.succ[0] != nil && cur.succ[0].info.PC == npc:
 			cur = cur.succ[0]
 			m.stats.ChainFollows++
-		case m.chainOK(cur.succ[1], npc):
+		case cur.succ[1] != nil && cur.succ[1].info.PC == npc:
 			cur = cur.succ[1]
 			m.stats.ChainFollows++
 		default:
@@ -367,17 +357,12 @@ func (m *Machine) runSuperblock(budget uint64) StopInfo {
 // re-formation over the current bytes (the overlay behaviour).
 func (m *Machine) traceFor(pc uint32) *traceCode {
 	if tr := m.traces[pc]; tr != nil {
-		if tr.prof == m.Profile && tr.ext == m.ISA && tr.sub == m.subset {
-			return tr
-		}
-		delete(m.traces, pc) // stale specialization
+		return tr
+	}
+	if m.pool == nil {
 		return nil
 	}
-	p := m.activePool()
-	if p == nil || len(p.traces) == 0 {
-		return nil
-	}
-	tr := p.traces[pc]
+	tr := m.pool.traces[pc]
 	if tr == nil {
 		return nil
 	}
@@ -536,7 +521,7 @@ func (m *Machine) runOps(ops []sbOp) (sideExit bool) {
 			h.X[op.rd&31] = binOps[op.imm](h.X[op.rs1&31], h.X[op.rs2&31])
 		case sbMulDyn:
 			a, b := h.X[op.rs1&31], h.X[op.rs2&31]
-			h.Cycle += uint64(m.Profile.DynamicCost(*op.in, a, b)) + uint64(op.pen)
+			h.Cycle += uint64(m.prof.DynamicCost(*op.in, a, b)) + uint64(op.pen)
 			if op.rd != 0 {
 				h.X[op.rd&31] = binOps[op.imm](a, b)
 			}
@@ -794,8 +779,7 @@ func (m *Machine) sbSlowStore(op *sbOp, addr, val uint32, size uint8) bool {
 // buildTrace fuses the recorded block path into a trace and installs it
 // on the entry block. Recording state is consumed either way; the
 // fusion is abandoned when a recorded block is no longer the live
-// translation at its pc (invalidated or respecialized since it was
-// recorded).
+// translation at its pc (invalidated since it was recorded).
 func (m *Machine) buildTrace() {
 	rec := m.rec
 	m.recActive = false
@@ -805,18 +789,15 @@ func (m *Machine) buildTrace() {
 	}
 	entry := rec[0].info.PC
 	for _, t := range rec {
-		if m.tbs[t.info.PC] != t || t.prof != m.Profile || t.ext != m.ISA ||
-			t.sub != m.subset {
+		if m.tbs[t.info.PC] != t {
 			return
 		}
 	}
 	if tr := m.traces[entry]; tr != nil {
-		if tr.prof == m.Profile && tr.ext == m.ISA && tr.sub == m.subset {
-			rec[0].trace = tr // already formed (e.g. pool adoption); relink
-		}
+		rec[0].trace = tr // already formed (e.g. pool adoption); relink
 		return
 	}
-	tr := newTraceCode(rec, m.Profile, m.ISA, m.subset)
+	tr := newTraceCode(m, rec)
 	if m.traces == nil {
 		m.traces = make(map[uint32]*traceCode)
 	}
@@ -829,15 +810,10 @@ func (m *Machine) buildTrace() {
 // newTraceCode fuses a recorded block path into one flattened micro-op
 // slice: the constituent blocks' own micro-ops, joined by guard ops. A
 // guard takes over the trailing accounting flush of the block before it,
-// materializing the fallthrough PC itself.
-func newTraceCode(rec []*tb, prof *timing.Profile, ext isa.ExtSet, sub isa.OpSet) *traceCode {
-	tr := &traceCode{
-		entry: rec[0].info.PC,
-		prof:  prof,
-		ext:   ext,
-		sub:   sub,
-		lo:    ^uint32(0),
-	}
+// materializing the fallthrough PC itself. Constituents not compiled
+// yet are compiled against m's specialization.
+func newTraceCode(m *Machine, rec []*tb) *traceCode {
+	tr := &traceCode{entry: rec[0].info.PC, lo: ^uint32(0)}
 	for i, t := range rec {
 		c := t.tbCode
 		tr.blocks = append(tr.blocks, c)
@@ -849,7 +825,7 @@ func newTraceCode(rec []*tb, prof *timing.Profile, ext isa.ExtSet, sub isa.OpSet
 		}
 		tr.nInsts += uint64(len(c.info.Insts))
 		if c.ops == nil {
-			c.compile() // a private block so far run only by the interpreter
+			c.compile(m) // a private block so far run only by the interpreter
 		}
 		ops := c.ops
 		if i == len(rec)-1 {
@@ -865,13 +841,7 @@ func newTraceCode(rec []*tb, prof *timing.Profile, ext isa.ExtSet, sub isa.OpSet
 		}
 		tr.ops = append(append(tr.ops, ops...), g)
 	}
-	tr.span = &tb{tbCode: &tbCode{
-		info: plugin.BlockInfo{PC: tr.lo},
-		end:  tr.hi,
-		prof: prof,
-		ext:  ext,
-		sub:  sub,
-	}}
+	tr.span = &tb{tbCode: &tbCode{info: plugin.BlockInfo{PC: tr.lo}, end: tr.hi}}
 	tr.idle = idleTrace(tr.ops)
 	return tr
 }
@@ -915,20 +885,21 @@ func idleTrace(ops []sbOp) bool {
 
 // compile builds the block's micro-op form, a length-1 trace ending with
 // a flush of any pending accounting. It is deterministic in the block's
-// bytes and specialization, and micro-ops take the machine as an
-// argument, so the result is machine-independent — the property the
-// shared translation pool relies on. Only the owning machine may call
-// this (lazily) on a private block; pooled blocks are compiled once,
-// before publication.
-func (c *tbCode) compile() {
+// bytes and m's specialization (profile, ISA, subset), and micro-ops take
+// the machine as an argument, so the result serves any machine of that
+// specialization — the property the shared translation pool relies on.
+// Only the owning machine may call this (lazily) on a private block;
+// pooled blocks are compiled once, before publication.
+func (c *tbCode) compile(m *Machine) {
+	prof := m.prof
 	insts := c.info.Insts
 	addrs := c.info.Addrs
 	var costs []uint32
 	var dyn []bool
 	icache := false
-	if c.prof != nil {
-		costs, dyn = c.prof.StaticPlan(insts)
-		icache = c.prof.HasICache()
+	if prof != nil {
+		costs, dyn = prof.StaticPlan(insts)
+		icache = prof.HasICache()
 	}
 	ops := make([]sbOp, 0, len(insts)+1)
 	var pend uint64    // deferred retired-instruction count
@@ -947,13 +918,13 @@ func (c *tbCode) compile() {
 		if costs != nil {
 			cost = costs[i]
 		}
-		if !icache && in.Valid() && in.Op.In(c.ext) && c.sub.Allows(in.Op) {
+		if !icache && in.Valid() && in.Op.In(m.ext) && m.subset.Allows(in.Op) {
 			if dyn != nil && dyn[i] {
 				// Early-out mul/div: the op adds its operand-dependent
 				// cycles itself, so only its instret is deferred.
 				constIdx = -1
 				ops = append(ops, sbOp{kind: sbMulDyn, in: in, imm: uint32(in.Op),
-					pen: uint16(cost - c.prof.StaticCost(*in)),
+					pen: uint16(cost - prof.StaticCost(*in)),
 					rd:  uint8(in.Rd), rs1: uint8(in.Rs1), rs2: uint8(in.Rs2)})
 				pend++
 				continue
@@ -988,7 +959,7 @@ func (c *tbCode) compile() {
 				}
 				continue
 			}
-			if op, ok := ctlOp(in, addrs[i], cost, c.prof, pend, pendCyc); ok {
+			if op, ok := ctlOp(in, addrs[i], cost, prof, pend, pendCyc); ok {
 				// Branches and jumps fold the pending flush into their own
 				// retire; no separate sbAcct needed.
 				constIdx = -1

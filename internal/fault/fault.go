@@ -310,9 +310,9 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 		// The flip bypasses the store path, so fold it into the dirty
 		// state by hand for the next rewind to restore.
 		p.Machine.NoteRAMWrite(byteAddr, 1)
-		// Drop only the translations overlapping the flipped byte; this
-		// also bumps CodeWrites, so the next rewind flushes any blocks
-		// translated from the corrupted image.
+		// Drop only the translations overlapping the flipped byte; the
+		// dirty page makes the next rewind flush any blocks translated
+		// from the corrupted image.
 		p.Machine.InvalidateRange(byteAddr, byteAddr+1)
 	}
 
@@ -396,10 +396,10 @@ type PlanConfig struct {
 	// GoldenInsts bounds transient triggers (retired instructions of
 	// the golden run).
 	GoldenInsts uint64
-	// CodeRange restricts code bit flips to [Start, End) — typically the
-	// program's executed text, a coverage-guided choice.
+	// CodeStart/CodeEnd restrict code bit flips to [CodeStart, CodeEnd) —
+	// typically the program's executed text, a coverage-guided choice.
 	CodeStart, CodeEnd uint32
-	// DataRange restricts memory faults.
+	// DataStart/DataEnd restrict memory faults.
 	DataStart, DataEnd uint32
 	// UsedRegs restricts register faults to registers the program
 	// actually touches (from the coverage analysis); empty means all.
@@ -594,7 +594,7 @@ type Options struct {
 // translation state into a shareable pool, so many campaigns over the
 // same target can reuse both via Options.Golden/Options.Pool. The pool
 // is nil when the golden run dirtied its own code (the same
-// Machine.CodeClean gate CampaignOpt applies); the Golden is still
+// Machine.CodePagesDirty gate CampaignOpt applies); the Golden is still
 // valid then, campaigns just fall back to private translation caches.
 func Prepare(t *Target) (*Golden, *emu.TBPool, error) {
 	g, gp, err := runGolden(t)
@@ -602,7 +602,7 @@ func Prepare(t *Target) (*Golden, *emu.TBPool, error) {
 		return nil, nil, err
 	}
 	var pool *emu.TBPool
-	if gp.Machine.CodeClean() {
+	if !gp.Machine.CodePagesDirty() {
 		pool = gp.Machine.BuildTBPool()
 	}
 	gp.Release()
@@ -648,7 +648,7 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 		// injector's per-mutant check) compiled blocks that don't match
 		// the pristine image workers validate against, so such a
 		// campaign falls back to private caches.
-		if !o.NoSharedPool && gp.Machine.CodeClean() {
+		if !o.NoSharedPool && !gp.Machine.CodePagesDirty() {
 			pool = gp.Machine.BuildTBPool()
 		}
 		gp.Release()

@@ -383,7 +383,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 func TestShardedCampaignMatchesCLI(t *testing.T) {
 	w, _ := workloads.ByName("xtea")
 	spec := FaultSpec{Seed: 9, GPRTransient: 20, GPRPermanent: 6, MemPermanent: 10,
-		CodeBitflip: 10, Workers: 2}
+		CodeBitflip: 10}
 	ref := cliReference(t, w.Source, w.Budget, spec)
 	want := make([]string, len(ref.Details))
 	for i, o := range ref.Details {
@@ -437,7 +437,7 @@ func TestShardedCampaignMatchesCLI(t *testing.T) {
 // run every shard inline or via the help loop — never deadlock.
 func TestShardedCampaignSingleWorker(t *testing.T) {
 	w, _ := workloads.ByName("xtea")
-	spec := FaultSpec{Seed: 3, GPRTransient: 12, CodeBitflip: 8, Workers: 1, Shards: 4}
+	spec := FaultSpec{Seed: 3, GPRTransient: 12, CodeBitflip: 8, Shards: 4}
 	s := newServer(t, Config{Workers: 1, QueueDepth: 2})
 	st, err := s.Submit(Request{Type: "fault", Source: w.Source, Budget: w.Budget, Fault: &spec})
 	if err != nil {

@@ -171,7 +171,7 @@ func TestEventsErrorCarriesMessage(t *testing.T) {
 func TestEventsCampaignProgress(t *testing.T) {
 	s, ts := httpServer(t, Config{Workers: 2, QueueDepth: 8})
 	w, _ := workloads.ByName("xtea")
-	spec := FaultSpec{Seed: 4, GPRTransient: 12, CodeBitflip: 6, Workers: 1, Shards: 3}
+	spec := FaultSpec{Seed: 4, GPRTransient: 12, CodeBitflip: 6, Shards: 3}
 	_, st := postJob(t, ts, Request{Type: "fault", Source: w.Source, Budget: w.Budget, Fault: &spec})
 	wait(t, s, st.ID)
 

@@ -124,7 +124,7 @@ func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return res, err
 	}
-	if pool == nil && p.Machine.CodeClean() {
+	if pool == nil && !p.Machine.CodePagesDirty() {
 		built := p.Machine.BuildTBPool()
 		e.mu.Lock()
 		if e.pool == nil {
@@ -217,17 +217,7 @@ func (s *Server) execFault(ctx context.Context, j *Job) (any, error) {
 			DataStart: vp.RAMBase, DataEnd: end,
 		})
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	opts := fault.Options{
-		Workers:      workers,
-		NoSharedPool: spec.NoPool,
-		Golden:       golden,
-		Pool:         pool,
-		Metrics:      s.reg,
-	}
+	opts := fault.Options{Workers: 1, Golden: golden, Pool: pool, Metrics: s.reg}
 	var res *fault.Results
 	var err error
 	if spec.Shards > 1 && len(plan.Faults) > 0 {
@@ -250,7 +240,7 @@ func (s *Server) execFault(ctx context.Context, j *Job) (any, error) {
 		GoldenStop: golden.Stop.String(),
 		GoldenInst: golden.Insts,
 		DurationMS: float64(res.Duration) / float64(time.Millisecond),
-		PoolShared: pool != nil && !spec.NoPool,
+		PoolShared: pool != nil,
 	}
 	for o, n := range res.ByOutcome {
 		out.ByOutcome[o.String()] = n

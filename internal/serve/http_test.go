@@ -142,9 +142,9 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestFaultPlanCaps: a fault spec whose plan or worker count exceeds the
-// per-request caps is a client error (400), rejected before any plan is
-// built — including counts whose sum would overflow.
+// TestFaultPlanCaps: a fault spec whose plan exceeds the per-request
+// caps is a client error (400), rejected before any plan is built —
+// including counts whose sum would overflow.
 func TestFaultPlanCaps(t *testing.T) {
 	_, ts := httpServer(t, Config{Workers: 1})
 	for name, spec := range map[string]FaultSpec{
@@ -152,7 +152,6 @@ func TestFaultPlanCaps(t *testing.T) {
 		"one":      {MemPermanent: maxFaultMutants + 1},
 		"negative": {GPRTransient: 10, GPRPermanent: -1},
 		"overflow": {GPRTransient: math.MaxInt, MemPermanent: math.MaxInt},
-		"workers":  {GPRTransient: 10, Workers: maxFaultWorkers + 1},
 	} {
 		resp, _ := postJob(t, ts, Request{Type: "fault", Source: src(t, "xtea"), Fault: &spec})
 		if resp.StatusCode != http.StatusBadRequest {

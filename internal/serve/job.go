@@ -77,19 +77,12 @@ type FaultSpec struct {
 	GPRPermanent int   `json:"gprperm"`
 	MemPermanent int   `json:"mem"`
 	CodeBitflip  int   `json:"code"`
-	// Workers caps the campaign's parallel mutant runners; 0 means the
-	// server default (one — the service's own worker pool provides the
-	// cross-job parallelism).
-	Workers int `json:"workers,omitempty"`
-	// NoPool disables translation-pool sharing for this campaign (the
-	// ablation switch, mirroring s4e-fault -pool=false).
-	NoPool bool `json:"no_pool,omitempty"`
 	// Shards splits the campaign's mutant plan into this many contiguous
 	// index ranges executed as independent sub-jobs on the server's
 	// worker pool, then deterministically merged (bit-identical to the
 	// unsharded campaign — see fault.MergeShards). <=1 runs unsharded.
-	// Workers applies per shard, so total parallelism is bounded by the
-	// server's worker pool, not Shards×Workers.
+	// Each shard runs one mutant at a time, so shards on the server's
+	// worker pool are a campaign's only parallelism.
 	Shards int `json:"shards,omitempty"`
 	// ISRHandler, when set, names the interrupt-handler entry symbol and
 	// switches the campaign to the ISR-targeted plan (fault.NewISRPlan):

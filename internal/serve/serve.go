@@ -235,11 +235,10 @@ func New(cfg Config) *Server {
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Per-request caps on a fault campaign, so one request cannot make the
-// server allocate an unbounded mutant plan, per-worker platform set,
-// shard set or ISR stack window.
+// server allocate an unbounded mutant plan, shard set or ISR stack
+// window.
 const (
 	maxFaultMutants = 1 << 20
-	maxFaultWorkers = 64
 	maxFaultShards  = 1 << 10
 	maxStackBytes   = 1 << 20
 )
@@ -256,7 +255,7 @@ const (
 )
 
 // checkPlanSize rejects a fault spec whose mutant counts are negative
-// or whose plan, worker, shard or stack-window size exceeds the caps.
+// or whose plan, shard or stack-window size exceeds the caps.
 // Each count is checked before summing, so the sum cannot overflow.
 func checkPlanSize(f *FaultSpec) error {
 	total := 0
@@ -268,9 +267,6 @@ func checkPlanSize(f *FaultSpec) error {
 	}
 	if total > maxFaultMutants {
 		return fmt.Errorf("fault plan has %d mutants, the limit is %d", total, maxFaultMutants)
-	}
-	if f.Workers > maxFaultWorkers {
-		return fmt.Errorf("fault workers must be <= %d, got %d", maxFaultWorkers, f.Workers)
 	}
 	if f.Shards < 0 || f.Shards > maxFaultShards {
 		return fmt.Errorf("fault shards must be in [0, %d], got %d", maxFaultShards, f.Shards)

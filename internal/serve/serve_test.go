@@ -243,7 +243,7 @@ func cliReference(t *testing.T, source string, budget uint64, spec FaultSpec) *f
 // translation pool, retries and queueing notwithstanding.
 func TestFaultServiceMatchesCLI(t *testing.T) {
 	w, _ := workloads.ByName("xtea")
-	spec := FaultSpec{Seed: 7, GPRTransient: 30, GPRPermanent: 10, MemPermanent: 15, CodeBitflip: 15, Workers: 2}
+	spec := FaultSpec{Seed: 7, GPRTransient: 30, GPRPermanent: 10, MemPermanent: 15, CodeBitflip: 15}
 	ref := cliReference(t, w.Source, w.Budget, spec)
 
 	const jobs = 8
@@ -592,7 +592,7 @@ func TestISRFaultServiceMatchesCLI(t *testing.T) {
 	w, _ := workloads.ByName("pid_timer")
 	spec := FaultSpec{
 		Seed: 42, GPRTransient: 12, GPRPermanent: 4, MemPermanent: 8,
-		CodeBitflip: 8, Workers: 2, ISRHandler: w.Handler, LatencyBudget: 3000,
+		CodeBitflip: 8, ISRHandler: w.Handler, LatencyBudget: 3000,
 	}
 	s := newServer(t, Config{Workers: 2})
 

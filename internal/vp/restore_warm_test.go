@@ -3,8 +3,10 @@ package vp_test
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/timing"
 	"repro/internal/vp"
 )
 
@@ -141,6 +143,74 @@ func TestRestoreReuseSelfModifyingGuest(t *testing.T) {
 				}
 				if got := p.Machine.Hart.Reg(isa.S0); got != 65 {
 					t.Errorf("run %d: s0 = %d, want 65 (stale translation of the patched code)", run, got)
+				}
+			}
+		})
+	}
+}
+
+// dataPageSrc keeps a data word on its own 512-byte page between two
+// code regions, so the page lies inside the code's bounding box once
+// handler is translated, and stores to it on every run.
+const dataPageSrc = `
+	la t0, data
+	lw t1, 0(t0)
+	addi t1, t1, 1
+	sw t1, 0(t0)
+	call handler
+	ebreak
+	.align 9
+data:	.word 41
+	.align 9
+handler:
+	lw a0, 0(t0)
+	slli a0, a0, 1
+	ret
+`
+
+// TestRestoreKeepsCacheOverDataPageInCode: a store to a data page that
+// no translated block overlaps leaves every translation valid, even
+// inside the code's bounding box, so the rewind must keep the cache:
+// later runs compile nothing and match a fresh platform, on every
+// engine.
+func TestRestoreKeepsCacheOverDataPageInCode(t *testing.T) {
+	for _, engine := range emu.Engines() {
+		t.Run(engine.String(), func(t *testing.T) {
+			platform := func() (*vp.Platform, *asm.Program) {
+				p, err := vp.New(vp.Config{Profile: timing.EdgeSmall()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Machine.Engine = engine
+				prog, err := p.LoadSource(dataPageSrc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, prog
+			}
+			fresh, _ := platform()
+			want := fresh.Run(1000)
+			if want.Reason != emu.StopEbreak || fresh.Machine.Hart.Reg(isa.A0) != 84 {
+				t.Fatalf("fresh run: %v, a0 = %d, want ebreak and 84", want, fresh.Machine.Hart.Reg(isa.A0))
+			}
+
+			p, prog := platform()
+			base := p.Snapshot()
+			var compiled uint64
+			for run := 0; run < 4; run++ {
+				if run > 0 {
+					p.RestoreReuse(base, prog)
+				}
+				stop := p.Run(1000)
+				h, fh := &p.Machine.Hart, &fresh.Machine.Hart
+				if stop != want || h.Reg(isa.A0) != fh.Reg(isa.A0) || h.Instret != fh.Instret || h.Cycle != fh.Cycle {
+					t.Errorf("run %d: %v a0=%d insts=%d cycles=%d, fresh platform %v a0=%d insts=%d cycles=%d",
+						run, stop, h.Reg(isa.A0), h.Instret, h.Cycle, want, fh.Reg(isa.A0), fh.Instret, fh.Cycle)
+				}
+				if run == 0 {
+					compiled = p.Machine.Stats().TBsCompiled
+				} else if got := p.Machine.Stats().TBsCompiled; got != compiled {
+					t.Errorf("run %d: %d blocks compiled in total, want %d (the rewind dropped the cache)", run, got, compiled)
 				}
 			}
 		})

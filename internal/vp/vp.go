@@ -63,10 +63,6 @@ type Platform struct {
 	restoreBytes uint64
 	restorePages uint64
 
-	// rewindCodeWrites is Machine.CodeWrites as of the last rewind, so
-	// RestoreReuse can tell whether the run since wrote translated code.
-	rewindCodeWrites uint64
-
 	// Per-restore distributions, attached via AttachRestoreObs; nil
 	// until then (and obs instruments are nil-safe anyway).
 	hRestoreBytes *obs.Histogram
@@ -115,10 +111,8 @@ func New(cfg Config) (*Platform, error) {
 		}
 	}
 
-	p.Machine = emu.New(bus)
-	p.Machine.Profile = cfg.Profile
+	p.Machine = emu.New(bus, cfg.Profile, cfg.ISA)
 	p.Machine.Clint = p.Clint
-	p.Machine.ISA = cfg.ISA
 	p.Machine.Ext = extSources{p}
 	// The devices zero the machine's interrupt-poll deadline wherever an
 	// interrupt input or a next event can change, and mtime follows the
@@ -187,9 +181,7 @@ func (m dmaBusMem) WriteWord(addr uint32, val uint32) error {
 	if err := m.p.Machine.Bus.WriteBytes(addr, b[:]); err != nil {
 		return err
 	}
-	if cLo, cHi := m.p.Machine.CodeRange(); addr < cHi && addr+4 > cLo {
-		m.p.Machine.InvalidateRange(addr, addr+4)
-	}
+	m.p.Machine.InvalidateRange(addr, addr+4)
 	return nil
 }
 
@@ -353,11 +345,15 @@ func (s *Snapshot) fill(ram []byte, lo, hi uint32) {
 // need Machine.NoteRAMWrite.
 //
 // The rewind also decides which translations survive: they are kept
-// (the warm cache is what makes recycling a platform pay) unless a store
-// hit translated code since the previous rewind (Machine.CodeWrites) or
-// a translated block overlaps RAM dirtied since then
-// (Machine.CodePagesDirty) — then the cache may hold code compiled from
-// bytes the rewind replaces, and it is flushed. The dirty-state reset below also
+// (the warm cache is what makes recycling a platform pay) unless a
+// translated block overlaps RAM dirtied since the previous rewind
+// (Machine.CodePagesDirty), and then the whole cache is flushed. That
+// one test suffices. At the previous rewind every cached block's bytes
+// were the snapshot's, and every write since is in the dirty state, so
+// a block translated from written bytes, or cached over bytes written
+// later, overlaps a dirty page; a block a guest store hit was dropped
+// at the store. A store to a data page inside the code's bounding box
+// therefore keeps the cache. The dirty-state reset below also
 // re-certifies an attached shared translation pool (emu.TBPool): pool
 // validity is defined as "block bytes untouched since the last pristine
 // rewind", and this is that rewind. prog identifies the image the
@@ -365,9 +361,8 @@ func (s *Snapshot) fill(ram []byte, lo, hi uint32) {
 // itself.
 func (p *Platform) RestoreReuse(s *Snapshot, prog *asm.Program) {
 	_ = prog
-	if cw := p.Machine.CodeWrites(); cw != p.rewindCodeWrites || p.Machine.CodePagesDirty() {
+	if p.Machine.CodePagesDirty() {
 		p.Machine.InvalidateTBs()
-		p.rewindCodeWrites = cw
 	}
 	p.Machine.Hart.Restore(s.hart)
 	ram := p.ram()

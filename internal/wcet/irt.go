@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/decode"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/timing"
 )
@@ -62,10 +63,6 @@ type IRTReport struct {
 	Handler       *Annotated `json:"handler"`        // annotated handler CFG
 	CriticalSites int        `json:"critical_sites"` // MIE-clearing sites found
 }
-
-// tbChainCap mirrors the emulator's translation-block instruction cap:
-// a straight-line run between interrupt polls never exceeds it.
-const tbChainCap = 64
 
 // AnalyzeIRT computes the static interrupt-response-time bound for the
 // program in image (loaded at base) with the given handler.
@@ -159,12 +156,12 @@ func maxBlockChain(g *cfg.Graph, prof *timing.Profile) uint64 {
 		var cost uint64
 		for b := g.Blocks[start]; b != nil; {
 			take := len(b.Insts)
-			if insts+take > tbChainCap {
-				take = tbChainCap - insts
+			if insts+take > emu.MaxTBInsts {
+				take = emu.MaxTBInsts - insts
 			}
 			cost += prof.BlockCost(b.Insts[:take])
 			insts += take
-			if insts >= tbChainCap || b.Term != cfg.TermFall || len(b.Succs) == 0 {
+			if insts >= emu.MaxTBInsts || b.Term != cfg.TermFall || len(b.Succs) == 0 {
 				break
 			}
 			b = g.Blocks[b.Succs[0].Addr]
