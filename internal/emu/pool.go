@@ -39,7 +39,10 @@ import (
 // are fixed when it is built, and SetSubset flushes its cache, so a
 // cached block never needs a specialization check. A pool carries the
 // one tag: AttachTBPool (and SetSubset, through it) attaches a pool only
-// to a machine of the same specialization.
+// to a machine of the same specialization. The profile is tagged by
+// value, not by pointer: compiled code depends only on the profile's
+// fields, and callers such as the analysis service build a fresh
+// Profile per job (timing.Profiles).
 //
 // Adopted blocks are wrapped in a private tb (per-machine chain links)
 // and inserted into the machine's private cache, so store-to-code
@@ -52,7 +55,7 @@ import (
 // Machine.AttachTBPool. All methods are safe for concurrent use; the
 // block map is immutable after construction.
 type TBPool struct {
-	prof   *timing.Profile
+	prof   timing.Profile // the zero Profile for a machine without one
 	ext    isa.ExtSet
 	sub    isa.OpSet
 	blocks map[uint32]*tbCode
@@ -67,15 +70,17 @@ type TBPool struct {
 }
 
 // BuildTBPool freezes the machine's current translation cache into a
-// shareable pool: every cached block whose bytes are untouched per the
-// machine's dirty state, so the compilation still reflects the
-// pristine image, is compiled (if it has not been yet) and published.
-// The machine keeps its private cache; the returned pool holds only the
-// immutable compiled parts. Returns an empty pool when the cache is
-// empty.
+// shareable pool: every cached block and trace whose bytes are
+// untouched per the machine's dirty state, so the compilation still
+// reflects the pristine image, is compiled (if it has not been yet) and
+// published. This is the one clean-image gate: a warmup run that wrote
+// into its own code still yields a valid pool, without the translations
+// over the written pages, so callers test nothing first. The machine
+// keeps its private cache; the returned pool holds only the immutable
+// compiled parts. Returns an empty pool when the cache is empty.
 func (m *Machine) BuildTBPool() *TBPool {
 	p := &TBPool{
-		prof:   m.prof,
+		prof:   m.profileTag(),
 		ext:    m.ext,
 		sub:    m.subset,
 		blocks: make(map[uint32]*tbCode, len(m.tbs)),
@@ -118,14 +123,22 @@ func (p *TBPool) Traces() int { return len(p.traces) }
 // AttachTBPool attaches a shared translation pool to the machine.
 // Lookups consult the pool after the private cache; blocks are adopted
 // only while the block's bytes are untouched per the dirty-state check
-// (DirtyOverlaps). A pool built under another profile, ISA or subset is
-// not attached. Attaching nil detaches; already-adopted blocks remain
-// in the private cache.
+// (DirtyOverlaps). A pool built under another profile value, ISA or
+// subset is not attached. Attaching nil detaches; already-adopted
+// blocks remain in the private cache.
 func (m *Machine) AttachTBPool(p *TBPool) {
-	if p != nil && (p.prof != m.prof || p.ext != m.ext || p.sub != m.subset) {
+	if p != nil && (p.prof != m.profileTag() || p.ext != m.ext || p.sub != m.subset) {
 		p = nil
 	}
 	m.pool = p
+}
+
+// profileTag is the profile value a pool is tagged with.
+func (m *Machine) profileTag() timing.Profile {
+	if m.prof == nil {
+		return timing.Profile{}
+	}
+	return *m.prof
 }
 
 // TBPoolAttached reports whether a shared pool is attached.

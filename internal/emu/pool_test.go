@@ -209,9 +209,11 @@ func TestResetDetachesPool(t *testing.T) {
 // TestTBPoolOtherProfileNeverAdopted: pooled code is compiled against
 // the donor's timing profile, so a machine built with another profile
 // must never adopt it — it compiles privately and counts exactly the
-// cycles of a fresh machine of its own profile, on every engine.
+// cycles of a fresh machine of its own profile, on every engine. The
+// tag is the profile's value: a machine built from a second
+// timing.EdgeSmall() call adopts a pool built under the first.
 func TestTBPoolOtherProfileNeverAdopted(t *testing.T) {
-	pool := buildPool(t, poolProg) // donor: nil profile, 1 cycle per instruction
+	nilPool := buildPool(t, poolProg) // donor: nil profile, 1 cycle per instruction
 	run := func(prof *timing.Profile, engine emu.Engine, pool *emu.TBPool) *emu.Machine {
 		t.Helper()
 		p, err := vp.New(vp.Config{Profile: prof})
@@ -228,20 +230,33 @@ func TestTBPoolOtherProfileNeverAdopted(t *testing.T) {
 		}
 		return p.Machine
 	}
-	for _, prof := range []*timing.Profile{timing.EdgeSmall(), timing.EdgeFast()} {
-		for _, engine := range emu.Engines() {
-			got, want := run(prof, engine, pool), run(prof, engine, nil)
-			if hits := got.Stats().PoolHits; hits != 0 {
-				t.Errorf("%s/%v: %d blocks adopted from a pool of another profile", prof.Name(), engine, hits)
+	for _, engine := range emu.Engines() {
+		edgePool := run(timing.EdgeSmall(), engine, nil).BuildTBPool()
+		for _, c := range []struct {
+			name  string
+			prof  *timing.Profile
+			pool  *emu.TBPool
+			adopt bool
+		}{
+			{"edge-small/nil-pool", timing.EdgeSmall(), nilPool, false},
+			{"edge-fast/nil-pool", timing.EdgeFast(), nilPool, false},
+			{"edge-small/edge-small-pool", timing.EdgeSmall(), edgePool, true},
+		} {
+			got, want := run(c.prof, engine, c.pool), run(c.prof, engine, nil)
+			if got.TBPoolAttached() != c.adopt {
+				t.Errorf("%s/%v: pool attached %v, want %v", c.name, engine, got.TBPoolAttached(), c.adopt)
+			}
+			if hits := got.Stats().PoolHits; (hits > 0) != c.adopt {
+				t.Errorf("%s/%v: %d blocks adopted, want adoption %v", c.name, engine, hits, c.adopt)
 			}
 			if got.Hart.Cycle != want.Hart.Cycle || got.Hart.Instret != want.Hart.Instret ||
 				got.Hart.Reg(isa.A0) != want.Hart.Reg(isa.A0) {
-				t.Errorf("%s/%v: cycles/insts/a0 %d/%d/%d, fresh machine %d/%d/%d", prof.Name(), engine,
+				t.Errorf("%s/%v: cycles/insts/a0 %d/%d/%d, fresh machine %d/%d/%d", c.name, engine,
 					got.Hart.Cycle, got.Hart.Instret, got.Hart.Reg(isa.A0),
 					want.Hart.Cycle, want.Hart.Instret, want.Hart.Reg(isa.A0))
 			}
 			if got.Hart.Cycle == got.Hart.Instret {
-				t.Errorf("%s/%v: cycles equal instructions; the profile does not show", prof.Name(), engine)
+				t.Errorf("%s/%v: cycles equal instructions; the profile does not show", c.name, engine)
 			}
 		}
 	}

@@ -267,7 +267,7 @@ func RunGolden(t *Target) (*Golden, error) {
 	return g, nil
 }
 
-// runGolden is RunGolden keeping the platform alive, so the campaign can
+// runGolden is RunGolden keeping the platform alive, so Prepare can
 // freeze the golden run's compiled translation state into a shared pool;
 // the caller releases the platform.
 func runGolden(t *Target) (*Golden, *vp.Platform, error) {
@@ -592,19 +592,17 @@ type Options struct {
 
 // Prepare runs the golden reference once and freezes its compiled
 // translation state into a shareable pool, so many campaigns over the
-// same target can reuse both via Options.Golden/Options.Pool. The pool
-// is nil when the golden run dirtied its own code (the same
-// Machine.CodePagesDirty gate CampaignOpt applies); the Golden is still
-// valid then, campaigns just fall back to private translation caches.
+// same target can reuse both via Options.Golden/Options.Pool. It is the
+// one builder of a pool from a golden run: CampaignContext calls it when
+// no golden is passed, and the analysis service caches its result per
+// binary. A golden run that wrote into its own code still yields a pool;
+// Machine.BuildTBPool leaves out the translations over written pages.
 func Prepare(t *Target) (*Golden, *emu.TBPool, error) {
 	g, gp, err := runGolden(t)
 	if err != nil {
 		return nil, nil, err
 	}
-	var pool *emu.TBPool
-	if !gp.Machine.CodePagesDirty() {
-		pool = gp.Machine.BuildTBPool()
-	}
+	pool := gp.Machine.BuildTBPool()
 	gp.Release()
 	return g, pool, nil
 }
@@ -631,27 +629,21 @@ func CampaignOpt(t *Target, plan Plan, o Options) (*Results, error) {
 // is bounded by the target budget, so the campaign returns promptly
 // with partial results: every classified slot keeps its outcome, slots
 // never reached stay Errored, and the joined error includes ctx.Err().
+// Without Options.Golden the campaign runs its own golden reference:
+// Prepare, whose pool every worker warm-starts from, or plain RunGolden
+// under NoSharedPool, which compiles nothing for sharing.
 func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Results, error) {
-	golden := o.Golden
-	pool := o.Pool
+	golden, pool := o.Golden, o.Pool
 	if golden == nil {
-		g, gp, err := runGolden(t)
+		var err error
+		if o.NoSharedPool {
+			golden, err = RunGolden(t)
+		} else {
+			golden, pool, err = Prepare(t)
+		}
 		if err != nil {
 			return nil, err
 		}
-		golden = g
-		// Freeze the golden run's compiled translation state into the
-		// shared pool every worker warm-starts from. The golden platform
-		// itself is discarded; only the immutable compiled blocks live
-		// on. A golden run that dirtied its own code (self-modification,
-		// wild jump into written data — detected exactly like the
-		// injector's per-mutant check) compiled blocks that don't match
-		// the pristine image workers validate against, so such a
-		// campaign falls back to private caches.
-		if !o.NoSharedPool && !gp.Machine.CodePagesDirty() {
-			pool = gp.Machine.BuildTBPool()
-		}
-		gp.Release()
 	}
 	workers := o.Workers
 	if workers <= 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -93,6 +94,73 @@ func TestCampaignPoolDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// selfModGolden stores into its own code and then exits. The patched
+// word sits just below the exit block, off the path the program still
+// runs; with the stack store above it, the golden run's dirty state
+// covers the exit block's page while the loop's page stays clean.
+const selfModGolden = `
+	li a1, 50
+	li a0, 0
+loop:
+	add a0, a0, a1
+	addi a1, a1, -1
+	bnez a1, loop
+	la t0, patch
+	li t1, 0x13
+	sw t1, 0(t0)
+	addi sp, sp, -4
+	sw a0, 0(sp)
+	j tail
+	.space 600
+patch:
+	.word 0
+tail:
+	li t6, SYSCON_EXIT
+	sw a0, 0(t6)
+1:	j 1b
+`
+
+// TestCampaignPoolSelfModifyingGolden: a golden run that wrote into its
+// own code still publishes a pool — Machine.BuildTBPool leaves out the
+// translations over the written page — and the pool stays
+// architecturally invisible: on both engines the campaign classifies
+// every mutant as the private-cache campaign does.
+func TestCampaignPoolSelfModifyingGolden(t *testing.T) {
+	prog, err := asm.AssembleAt(vp.Prelude+selfModGolden, vp.RAMBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := &fault.Target{Program: prog, Budget: 100_000}
+	g, err := fault.RunGolden(tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Stop.Code != 1275 {
+		t.Fatalf("golden exit code %d, want 1275", g.Stop.Code)
+	}
+	for _, engine := range emu.Engines() {
+		t.Run(engine.String(), func(t *testing.T) {
+			etg := *tg
+			etg.Engine = engine
+			plan := poolPlan(&etg, g)
+			pooled, preg := runPoolCampaign(t, &etg, plan, 1, false)
+			private, _ := runPoolCampaign(t, &etg, plan, 1, true)
+			if pb := preg.Gauge("s4e_fault_pool_blocks", "").Value(); pb <= 0 {
+				t.Errorf("s4e_fault_pool_blocks = %v, want > 0", pb)
+			}
+			if hits := preg.Counter(vp.MetricPoolHits, "").Value(); hits == 0 {
+				t.Error("pooled campaign adopted no blocks")
+			}
+			for i := range pooled.Details {
+				if pooled.Details[i] != private.Details[i] {
+					t.Errorf("mutant %d (%v): pool=%v private=%v",
+						i, plan.Faults[i], pooled.Details[i], private.Details[i])
+				}
+			}
+		})
 	}
 }
 

@@ -28,8 +28,9 @@ type binKey struct {
 }
 
 // binEntry is the shared state of one binary: the compiled translation
-// pool (published by the first job that ran the binary cleanly) and the
-// fault goldens keyed by instruction budget.
+// pool (published by fault.Prepare for the binary's first campaign and
+// adopted by later run and fault jobs, whose fresh profiles match it by
+// value) and the fault goldens keyed by instruction budget.
 type binEntry struct {
 	mu      sync.Mutex
 	pool    *emu.TBPool
@@ -99,10 +100,10 @@ type RunResult struct {
 	Output string `json:"output"`
 }
 
-// execRun executes the guest once on the virtual platform. Jobs over
-// the same binary share the compiled translation pool: the first run
-// publishes it, later runs (and campaigns) adopt its blocks instead of
-// recompiling.
+// execRun executes the guest once on the virtual platform, warm-started
+// from the binary's translation pool when its first campaign has
+// published one. Run jobs only adopt: a pool is built from a golden run
+// by fault.Prepare alone.
 func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	p, err := j.newPlatform()
 	if err != nil {
@@ -113,26 +114,14 @@ func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	e.mu.Lock()
 	pool := e.pool
 	e.mu.Unlock()
-	s.poolShare(pool != nil)
 	p.Machine.AttachTBPool(pool) // nil attach is a no-op detach
+	s.poolShare(p.Machine.TBPoolAttached())
 	stop, err := p.RunContext(ctx, j.budget)
-	res := RunResult{
+	return RunResult{
 		Reason: stop.Reason.String(), Code: stop.Code, PC: stop.PC,
 		Insts: p.Machine.Hart.Instret, Cycles: p.Machine.Hart.Cycle,
 		Output: p.Output(),
-	}
-	if err != nil {
-		return res, err
-	}
-	if pool == nil && !p.Machine.CodePagesDirty() {
-		built := p.Machine.BuildTBPool()
-		e.mu.Lock()
-		if e.pool == nil {
-			e.pool = built
-		}
-		e.mu.Unlock()
-	}
-	return res, nil
+	}, err
 }
 
 // FaultResult is the payload of a finished "fault" job. Details lists
@@ -177,7 +166,7 @@ func (s *Server) execFault(ctx context.Context, j *Job) (any, error) {
 		golden = g
 		e.mu.Lock()
 		e.goldens[j.budget] = g
-		if e.pool == nil && p != nil {
+		if e.pool == nil {
 			e.pool = p
 		}
 		pool = e.pool

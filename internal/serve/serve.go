@@ -15,7 +15,10 @@
 // gauge, shed/retry counters). Jobs over the same guest binary share
 // one golden run and one compiled translation pool (emu.TBPool), so a
 // burst of campaign jobs compiles the working set once, not once per
-// job.
+// job: the golden run of the binary's first campaign publishes the pool
+// (fault.Prepare), later campaign and run jobs adopt it, and the pool's
+// tag compares timing profiles by value, so each job's fresh profile
+// matches.
 //
 // The durability layer (internal/serve/store) journals every accepted
 // submission and terminal transition to an append-only JSONL file: a

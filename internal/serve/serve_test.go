@@ -299,14 +299,19 @@ func TestFaultServiceMatchesCLI(t *testing.T) {
 
 // TestPoolCacheSharing checks the cross-job reuse contract: the second
 // campaign over the same binary reuses the first one's golden run and
-// translation pool (a cache hit), instead of recomputing them.
+// translation pool (a cache hit), instead of recomputing them, and its
+// workers really adopt the pooled blocks although every job builds its
+// own profile. A later run job over the binary warm-starts from the
+// same pool.
 func TestPoolCacheSharing(t *testing.T) {
 	w, _ := workloads.ByName("xtea")
 	spec := FaultSpec{Seed: 3, GPRTransient: 10}
-	s := newServer(t, Config{Workers: 1})
+	s := newServer(t, Config{Workers: 2}) // jobs may land on different workers
 	hits := s.reg.Counter(`s4e_serve_pool_jobs_total{cache="hit"}`, "")
+	adopted := s.reg.Counter(vp.MetricPoolHits, "")
 
 	for i := 0; i < 2; i++ {
+		before := adopted.Value()
 		st, err := s.Submit(Request{Type: "fault", Source: w.Source, Budget: w.Budget, Fault: &spec})
 		if err != nil {
 			t.Fatal(err)
@@ -318,9 +323,23 @@ func TestPoolCacheSharing(t *testing.T) {
 		if fr := res.(FaultResult); !fr.PoolShared {
 			t.Errorf("job %d did not share the translation pool", i)
 		}
+		if adopted.Value() == before {
+			t.Errorf("job %d adopted no pooled block (%s stayed %v)", i, vp.MetricPoolHits, before)
+		}
 	}
 	if got := hits.Value(); got != 1 {
 		t.Errorf("pool cache hits %v, want 1 (second job reuses the first's golden+pool)", got)
+	}
+
+	st, err := s.Submit(Request{Type: "run", Source: w.Source, Budget: w.Budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = wait(t, s, st.ID); st.State != StateDone {
+		t.Fatalf("run job state %s (err %q)", st.State, st.Error)
+	}
+	if got := hits.Value(); got != 2 {
+		t.Errorf("pool cache hits %v after the run job, want 2 (it attaches the campaigns' pool)", got)
 	}
 }
 

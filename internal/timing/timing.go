@@ -215,7 +215,9 @@ func EdgeCache() *Profile {
 	return p
 }
 
-// Profiles returns the built-in profiles by name.
+// Profiles returns the built-in profiles by name. Every call builds
+// fresh values, so two profiles of one name are equal only by value:
+// compare *p == *q, never the pointers.
 func Profiles() map[string]*Profile {
 	return map[string]*Profile{
 		"edge-small": EdgeSmall(),
