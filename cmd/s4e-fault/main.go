@@ -117,30 +117,14 @@ func main() {
 	}
 	tg.Engine = engine
 
+	// One golden run per campaign: Prepare's, whose translation pool the
+	// workers warm-start from, or a plain one when the pool is off. The
+	// guided plan runs its own golden under the coverage plugin, and the
+	// campaign then prepares the pool itself.
+	opts := fault.Options{Workers: *workers, NoSharedPool: !*pool}
 	var plan fault.Plan
 	var g *fault.Golden
-	if *isr != "" {
-		golden, err := fault.RunGolden(tg)
-		if err != nil {
-			fatal(err)
-		}
-		g = golden
-		plan, err = fault.NewISRPlan(prog, *isr, fault.ISRPlanConfig{
-			Seed:         *seed,
-			GPRTransient: *gpr,
-			GPRPermanent: *gprPerm,
-			MemPermanent: *mem,
-			CodeBitflip:  *code,
-			GoldenInsts:  g.Insts,
-			StackTop:     tg.StackTop(),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		start, end, _ := fault.ISRRegion(prog, *isr)
-		fmt.Printf("isr plan: handler %s code 0x%08x..0x%08x, stack window 64 bytes below 0x%08x\n",
-			*isr, start, end, tg.StackTop())
-	} else if *guided {
+	if *guided && *isr == "" {
 		cfg, golden, err := fault.GuidedPlanConfig(tg, *seed, *gpr)
 		if err != nil {
 			fatal(err)
@@ -150,28 +134,49 @@ func main() {
 			len(cfg.UsedRegs), cfg.CodeStart, cfg.CodeEnd)
 		plan = fault.NewPlan(cfg)
 	} else {
-		golden, err := fault.RunGolden(tg)
+		if *pool {
+			opts.Golden, opts.Pool, err = fault.Prepare(tg)
+		} else {
+			opts.Golden, err = fault.RunGolden(tg)
+		}
 		if err != nil {
 			fatal(err)
 		}
-		g = golden
-		end := vp.RAMBase + uint32(len(prog.Bytes))
-		plan = fault.NewPlan(fault.PlanConfig{
-			Seed:         *seed,
-			GPRTransient: *gpr,
-			GPRPermanent: *gprPerm,
-			MemPermanent: *mem,
-			CodeBitflip:  *code,
-			GoldenInsts:  g.Insts,
-			CodeStart:    vp.RAMBase,
-			CodeEnd:      end,
-			DataStart:    vp.RAMBase,
-			DataEnd:      end,
-		})
+		g = opts.Golden
+		if *isr != "" {
+			plan, err = fault.NewISRPlan(prog, *isr, fault.ISRPlanConfig{
+				Seed:         *seed,
+				GPRTransient: *gpr,
+				GPRPermanent: *gprPerm,
+				MemPermanent: *mem,
+				CodeBitflip:  *code,
+				GoldenInsts:  g.Insts,
+				StackTop:     tg.StackTop(),
+			})
+			if err != nil {
+				fatal(err)
+			}
+			start, end, _ := fault.ISRRegion(prog, *isr)
+			fmt.Printf("isr plan: handler %s code 0x%08x..0x%08x, stack window 64 bytes below 0x%08x\n",
+				*isr, start, end, tg.StackTop())
+		} else {
+			end := vp.RAMBase + uint32(len(prog.Bytes))
+			plan = fault.NewPlan(fault.PlanConfig{
+				Seed:         *seed,
+				GPRTransient: *gpr,
+				GPRPermanent: *gprPerm,
+				MemPermanent: *mem,
+				CodeBitflip:  *code,
+				GoldenInsts:  g.Insts,
+				CodeStart:    vp.RAMBase,
+				CodeEnd:      end,
+				DataStart:    vp.RAMBase,
+				DataEnd:      end,
+			})
+		}
 	}
 	fmt.Printf("golden: %v, %d instructions\n", g.Stop, g.Insts)
 
-	opts := fault.Options{Workers: *workers, NoSharedPool: !*pool}
 	if *metricsPath != "" {
 		opts.Metrics = obs.NewRegistry()
 	}

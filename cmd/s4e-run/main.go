@@ -85,7 +85,11 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		if _, err := p.LoadELF(data); err != nil {
+		prog, err := vp.ProgramFromELF(data)
+		if err != nil {
+			fatal(err)
+		}
+		if err := p.LoadProgram(prog); err != nil {
 			fatal(err)
 		}
 	}

@@ -110,6 +110,10 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+	// Signals are caught before the address is announced: a SIGTERM sent
+	// as soon as the server is reachable drains it instead of killing it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s4e-serve:", err)
@@ -121,9 +125,6 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	select {
 	case err := <-errc:

@@ -29,7 +29,9 @@ func main() {
 	}
 	target := &fault.Target{Program: prog, Budget: w.Budget, Sensor: w.Sensor}
 
-	golden, err := fault.RunGolden(target)
+	// The golden run, once: its compiled translations become the pool
+	// every campaign worker warm-starts from.
+	golden, pool, err := fault.Prepare(target)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 
 	workers := runtime.NumCPU()
 	start := time.Now()
-	res, err := fault.Campaign(target, plan, workers)
+	res, err := fault.CampaignOpt(target, plan, fault.Options{Workers: workers, Golden: golden, Pool: pool})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package dev
 
+import "encoding/binary"
+
 // DMA register offsets.
 const (
 	DMARing   uint32 = 0x00 // read/write: descriptor ring base address
@@ -47,11 +49,11 @@ const dmaMaxWords = 1 << 16
 // copy itself happens host-side at the first Tick at or past that
 // cycle; the architectural assert time is the completion cycle, which
 // AssertCycle exposes to the latency co-sim. Guest memory is reached
-// through the Mem callback so the platform can route the accesses over
-// the bus (keeping dirty-page tracking and write notification sound).
+// through Mem, which the platform wires to its bus, so the engine's
+// writes are host writes like any other.
 type DMAStream struct {
-	// Mem provides word access to guest memory; the platform wires it
-	// to the system bus. Required before any transfer is kicked.
+	// Mem is guest memory; the platform wires it to the system bus.
+	// Required before any transfer is kicked.
 	Mem DMAMem
 
 	// StartCycles and CyclesPerWord parametrize the completion-time
@@ -83,12 +85,21 @@ type DMAStream struct {
 	doneAt   uint64 // completion cycle of the in-flight transfer
 	assertAt uint64 // cycle the completion IRQ was last asserted
 	faulted  bool   // a transfer hit a bus error; engine wedged
+
+	// word and buf stage descriptor words and a transfer's samples. They
+	// live here, not on the stack, because a slice passed through the
+	// Mem interface escapes: a stack buffer would allocate per access.
+	word [4]byte
+	buf  []byte
 }
 
-// DMAMem is guest-memory word access for the DMA engine.
+// DMAMem is the guest-memory span access the DMA engine needs (the
+// bus's ReadBytes/WriteBytes): each call fails if a byte of the span
+// lies outside RAM, and a failed write still writes the prefix before
+// that byte.
 type DMAMem interface {
-	ReadWord(addr uint32) (uint32, error)
-	WriteWord(addr uint32, val uint32) error
+	ReadBytes(addr uint32, dst []byte) error
+	WriteBytes(addr uint32, src []byte) error
 }
 
 // NewDMAStream creates a DMA engine preloaded with samples and the
@@ -125,48 +136,56 @@ func (d *DMAStream) Tick(cycle uint64) {
 func (d *DMAStream) NextEvent() (uint64, bool) { return d.doneAt, d.busy }
 
 // complete processes the descriptor at head: copy samples, write the
-// done flag back, advance head. A bus error (descriptor or destination
-// outside mapped memory — the fault campaigns provoke this) wedges the
-// engine: the IRQ still fires so software observes the completion, but
-// no further kicks are accepted.
+// done flag back, advance head. The samples go out as one span. A bus
+// error (descriptor or destination outside RAM — the fault campaigns
+// provoke this) wedges the engine after the in-RAM prefix of the span
+// is written: the IRQ still fires so software observes the completion,
+// but no further kicks are accepted.
 func (d *DMAStream) complete() {
 	desc := d.ring + d.head*4*DMADescWords
-	dst, err := d.Mem.ReadWord(desc)
+	dst, err := d.readWord(desc)
 	if err != nil {
 		d.faulted = true
 		return
 	}
-	n, err := d.Mem.ReadWord(desc + 4)
+	n, err := d.readWord(desc + 4)
 	if err != nil {
 		d.faulted = true
 		return
 	}
-	if n > dmaMaxWords {
-		n = dmaMaxWords
-	}
+	n = min(n, dmaMaxWords)
+	d.buf = d.buf[:0]
 	for i := uint32(0); i < n; i++ {
 		var v uint32
 		if d.pos < len(d.samples) {
 			v = uint32(int32(d.samples[d.pos]))
 			d.pos++
 		}
-		if err := d.Mem.WriteWord(dst+4*i, v); err != nil {
-			d.faulted = true
-			return
-		}
+		d.buf = binary.LittleEndian.AppendUint32(d.buf, v)
 	}
-	flags, err := d.Mem.ReadWord(desc + 8)
+	if err := d.Mem.WriteBytes(dst, d.buf); err != nil {
+		d.faulted = true
+		return
+	}
+	flags, err := d.readWord(desc + 8)
 	if err != nil {
 		d.faulted = true
 		return
 	}
-	if err := d.Mem.WriteWord(desc+8, flags|DMADescDone); err != nil {
+	binary.LittleEndian.PutUint32(d.word[:], flags|DMADescDone)
+	if err := d.Mem.WriteBytes(desc+8, d.word[:]); err != nil {
 		d.faulted = true
 		return
 	}
 	if d.count > 0 {
 		d.head = (d.head + 1) % d.count
 	}
+}
+
+// readWord reads one little-endian guest word.
+func (d *DMAStream) readWord(addr uint32) (uint32, error) {
+	err := d.Mem.ReadBytes(addr, d.word[:])
+	return binary.LittleEndian.Uint32(d.word[:]), err
 }
 
 // kick starts the next transfer: completion is scheduled relative to
@@ -176,14 +195,12 @@ func (d *DMAStream) kick() {
 	if d.busy || d.faulted || d.count == 0 {
 		return
 	}
-	n, err := d.Mem.ReadWord(d.ring + d.head*4*DMADescWords + 4)
+	n, err := d.readWord(d.ring + d.head*4*DMADescWords + 4)
 	if err != nil {
 		d.faulted = true
 		return
 	}
-	if n > dmaMaxWords {
-		n = dmaMaxWords
-	}
+	n = min(n, dmaMaxWords)
 	var now uint64
 	if d.Now != nil {
 		now = d.Now()

@@ -2,7 +2,8 @@ package dev
 
 import "testing"
 
-// fakeMem is word-addressed guest memory for DMA tests.
+// fakeMem is guest memory for DMA tests, stored as words; a word in
+// fail is unmapped, and a span stops with an error at its first byte.
 type fakeMem struct {
 	words map[uint32]uint32
 	fail  map[uint32]bool
@@ -12,18 +13,26 @@ func newFakeMem() *fakeMem {
 	return &fakeMem{words: map[uint32]uint32{}, fail: map[uint32]bool{}}
 }
 
-func (m *fakeMem) ReadWord(addr uint32) (uint32, error) {
-	if m.fail[addr] {
-		return 0, errBus
+func (m *fakeMem) ReadBytes(addr uint32, dst []byte) error {
+	for i := range dst {
+		a := addr + uint32(i)
+		if m.fail[a&^3] {
+			return errBus
+		}
+		dst[i] = byte(m.words[a&^3] >> (8 * (a & 3)))
 	}
-	return m.words[addr], nil
+	return nil
 }
 
-func (m *fakeMem) WriteWord(addr uint32, val uint32) error {
-	if m.fail[addr] {
-		return errBus
+func (m *fakeMem) WriteBytes(addr uint32, src []byte) error {
+	for i, b := range src {
+		a := addr + uint32(i)
+		if m.fail[a&^3] {
+			return errBus
+		}
+		sh := 8 * (a & 3)
+		m.words[a&^3] = m.words[a&^3]&^(0xff<<sh) | uint32(b)<<sh
 	}
-	m.words[addr] = val
 	return nil
 }
 
@@ -92,14 +101,23 @@ func TestDMATransfer(t *testing.T) {
 	}
 }
 
+// TestDMAFaultWedges: a transfer whose destination runs off memory
+// writes the samples that land in memory, leaves the descriptor without
+// its done flag and wedges the engine.
 func TestDMAFaultWedges(t *testing.T) {
-	d, mem := dmaWithRing(t, []int16{1, 2}, 0x8000_2000, 2)
+	d, mem := dmaWithRing(t, []int16{1, 2, 3}, 0x8000_2000, 3)
 	d.Now = func() uint64 { return 0 }
-	mem.fail[0x8000_2004] = true // second destination word unmapped
+	mem.fail[0x8000_2008] = true // third destination word unmapped
 	d.Store(DMACtrl, 4, 1)
 	d.Tick(1 << 20)
 	if !d.IRQ() {
 		t.Error("completion IRQ should still fire on a faulted transfer")
+	}
+	if mem.words[0x8000_2000] != 1 || mem.words[0x8000_2004] != 2 {
+		t.Errorf("in-memory prefix = %d, %d, want 1, 2", mem.words[0x8000_2000], mem.words[0x8000_2004])
+	}
+	if mem.words[0x8000_1008]&DMADescDone != 0 {
+		t.Error("done flag written back for a faulted transfer")
 	}
 	d.Store(DMAClear, 4, 1)
 	d.Store(DMACtrl, 4, 1) // wedged: further kicks ignored

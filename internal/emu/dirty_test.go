@@ -122,8 +122,8 @@ func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 		p := load()
 		p.Machine.AttachTBPool(pool)
 		top := uint32(vp.RAMBase + vp.DefaultRAMSize)
-		p.Machine.NoteRAMWrite(vp.RAMBase+4, 4)
-		p.Machine.NoteRAMWrite(top-8, 4)
+		hostWrite(t, p, vp.RAMBase+4, 4)
+		hostWrite(t, p, top-8, 4)
 		if p.Machine.CodePagesDirty() {
 			t.Error("code pages dirty before any code write")
 		}
@@ -138,7 +138,7 @@ func TestPoolAdoptionBetweenScatteredStores(t *testing.T) {
 			t.Error("no pool hits recorded")
 		}
 		// A write into the code itself is still caught, byte or not.
-		p.Machine.NoteRAMWrite(org, 1)
+		hostWrite(t, p, org, 1)
 		if !p.Machine.CodePagesDirty() {
 			t.Error("write into translated code not reported by CodePagesDirty")
 		}
@@ -180,7 +180,7 @@ func TestDirtyRangesMatchPageSet(t *testing.T) {
 		}
 		for i, ok := range set {
 			if ok {
-				m.NoteRAMWriteRange(vp.RAMBase+uint32(i)*emu.DirtyPageSize, vp.RAMBase+uint32(i+1)*emu.DirtyPageSize)
+				hostWrite(t, p, vp.RAMBase+uint32(i)*emu.DirtyPageSize, emu.DirtyPageSize)
 			}
 		}
 		var want [][2]uint32
@@ -214,5 +214,18 @@ func TestDirtyRangesMatchPageSet(t *testing.T) {
 			}
 		}
 		p.Release()
+	}
+}
+
+// hostWrite rewrites n bytes at addr with their own values through the
+// bus: a host write that changes no byte but reaches the dirty state.
+func hostWrite(t *testing.T, p *vp.Platform, addr uint32, n int) {
+	t.Helper()
+	b := make([]byte, n)
+	if err := p.Machine.Bus.ReadBytes(addr, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Machine.Bus.WriteBytes(addr, b); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -329,10 +329,10 @@ type Machine struct {
 	// dirty is the page-granular dirty bitmap over the direct-RAM
 	// region: bit p covers bytes [p<<DirtyPageShift, (p+1)<<DirtyPageShift)
 	// relative to ramBase and is set by every store path (both engines
-	// funnel through noteRAMStore) and every host-side write
-	// folded in via NoteRAMWrite/NoteRAMWriteRange. Invariant: set bits
-	// always lie inside the watermark box, so ResetStoreWatermark clears
-	// only the words the box covers. Empty when no direct RAM is mapped.
+	// funnel through noteRAMStore) and every host write through the bus
+	// (noteHostWrite). Invariant: set bits always lie inside the
+	// watermark box, so ResetStoreWatermark clears only the words the box
+	// covers. Empty when no direct RAM is mapped.
 	dirty []uint64
 
 	// written accumulates the dirty bits (ResetStoreWatermark folds in
@@ -365,11 +365,7 @@ func New(bus *mem.Bus, prof *timing.Profile, ext isa.ExtSet) *Machine {
 		storeLo:      ^uint32(0),
 	}
 	m.Hart.Reset(0)
-	// Host-side bulk writes (loaders, snapshot restores, injected
-	// corruption) land on the bus without passing through the engine
-	// store paths; the notification folds them into the watermark and
-	// dirty-page bitmap so rewinds and validity checks see them.
-	bus.WriteNotify = m.NoteRAMWriteRange
+	bus.WriteNotify = m.noteHostWrite
 	return m
 }
 
@@ -464,21 +460,13 @@ func (m *Machine) markDirtyPages(lo, hi uint32) {
 // last ResetStoreWatermark; lo > hi means no stores happened.
 func (m *Machine) StoreWatermark() (lo, hi uint32) { return m.storeLo, m.storeHi }
 
-// NoteRAMWrite folds an externally performed RAM write (e.g. an injected
-// bit flip) into the store watermark and the dirty-page bitmap, so
-// dirty-state-based rewinds know to restore those bytes.
-func (m *Machine) NoteRAMWrite(addr uint32, size uint8) {
-	m.NoteRAMWriteRange(addr, addr+uint32(size))
-}
-
-// NoteRAMWriteRange folds an externally performed write of [lo, hi) into
-// the store watermark and the dirty-page bitmap (host-side bulk writes
-// such as a snapshot restore or the program loader, where the 255-byte
-// limit of NoteRAMWrite's size would not reach).
-func (m *Machine) NoteRAMWriteRange(lo, hi uint32) {
-	if lo >= hi {
-		return
-	}
+// noteHostWrite is the bus write notification: the one path by which a
+// write into RAM from outside the guest (the loader, the DMA engine, an
+// injected fault) reaches the machine. Like a guest store, it folds
+// [lo, hi) into the store watermark and the dirty-page bitmap, so the
+// next rewind restores those bytes, and drops the translations over the
+// range, so the next run executes the bytes now in RAM.
+func (m *Machine) noteHostWrite(lo, hi uint32) {
 	if lo < m.storeLo {
 		m.storeLo = lo
 	}
@@ -486,6 +474,7 @@ func (m *Machine) NoteRAMWriteRange(lo, hi uint32) {
 		m.storeHi = hi
 	}
 	m.markDirtyPages(lo, hi)
+	m.invalidateRange(lo, hi)
 }
 
 // ResetStoreWatermark clears the store watermark and the dirty-page
@@ -770,20 +759,15 @@ func (m *Machine) abortRecording() {
 	}
 }
 
-// InvalidateRange drops only the translated blocks overlapping [lo, hi)
+// invalidateRange drops only the translated blocks overlapping [lo, hi)
 // — the store-to-code path, where a full flush would retranslate the
-// whole working set. A range outside the code bounding box returns at
-// once. Otherwise all chains are severed (a surviving block may link to
-// a dropped one) and the jump cache is cleared, but the modelled
-// I-cache is preserved: a data store does not flush a hardware
-// instruction cache, only fence.i does.
-func (m *Machine) InvalidateRange(lo, hi uint32) {
-	m.invalidateRange(lo, hi)
-}
-
-// invalidateRange implements InvalidateRange and additionally reports
-// whether the currently executing block was dropped, so the execution
-// loops know their compiled code is stale.
+// whole working set — and reports whether the currently executing block
+// was dropped, so the execution loops know their compiled code is
+// stale. A range outside the code bounding box returns at once.
+// Otherwise all chains are severed (a surviving block may link to a
+// dropped one) and the jump cache is cleared, but the modelled I-cache
+// is preserved: a data store does not flush a hardware instruction
+// cache, only fence.i does.
 func (m *Machine) invalidateRange(lo, hi uint32) (hitCurrent bool) {
 	if hi <= m.codeLo || lo >= m.codeHi {
 		return false

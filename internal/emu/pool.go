@@ -21,8 +21,8 @@ import (
 // The machine's dirty-state tracking — the byte-precise store watermark
 // box refined by the page-granular dirty bitmap — covers every RAM
 // write since the last rewind to the pristine image: guest stores on
-// all engine paths, plus host-side writes folded in via NoteRAMWrite /
-// NoteRAMWriteRange and the bus write notification. Adoption asks
+// all engine paths, plus every host write, which goes through
+// Bus.WriteBytes and its write notification. Adoption asks
 // DirtyOverlaps(block range): disjoint from the watermark box, or
 // inside the box but touching no dirty page, certifies the bytes are
 // untouched — so scattered data stores around a code region no longer

@@ -91,12 +91,11 @@ func TestTBPoolOverlayOnMutatedCode(t *testing.T) {
 
 	p := poolPlatform(t, src)
 	p.Machine.AttachTBPool(pool)
-	// Flip imm bit 0 of the first instruction: addi a0,x0,5 (0x00500513)
-	// becomes addi a0,x0,4. The flip bypasses the store path, so fold it
-	// into the watermark by hand, exactly as the fault injector does.
-	ram := p.RAM.Bytes()
-	ram[2] ^= 0x10
-	p.Machine.NoteRAMWrite(vp.RAMBase+2, 1)
+	// Flip imm bit 0 of the first instruction through the bus, as the
+	// fault injector does: addi a0,x0,5 (0x00500513) becomes addi a0,x0,4.
+	if err := p.Machine.Bus.WriteBytes(vp.RAMBase+2, []byte{0x40}); err != nil {
+		t.Fatal(err)
+	}
 
 	if stop := p.Run(1000); stop.Reason != emu.StopEbreak {
 		t.Fatalf("mutated run: %v", stop)

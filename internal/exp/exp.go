@@ -133,7 +133,7 @@ func E5Faults(workload string, n int) (*fault.Results, string, error) {
 		return nil, "", err
 	}
 	tg := &fault.Target{Program: prog, Budget: w.Budget, Sensor: w.Sensor}
-	g, err := fault.RunGolden(tg)
+	g, pool, err := fault.Prepare(tg)
 	if err != nil {
 		return nil, "", err
 	}
@@ -162,7 +162,7 @@ func E5Faults(workload string, n int) (*fault.Results, string, error) {
 		DataStart:    dataStart,
 		DataEnd:      imageEnd,
 	})
-	res, err := fault.Campaign(tg, plan, runtime.NumCPU())
+	res, err := fault.CampaignOpt(tg, plan, fault.Options{Workers: runtime.NumCPU(), Golden: g, Pool: pool})
 	if err != nil {
 		return nil, "", err
 	}

@@ -300,20 +300,17 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 	inj.reset()
 	switch f.Model {
 	case MemPermanent, CodeBitflip:
-		ram := p.RAM.Bytes()
-		off := f.Addr - vp.RAMBase
-		if int(off) >= len(ram) {
-			return 0, fmt.Errorf("fault: address 0x%08x outside RAM", f.Addr)
+		// The flip is a host write through the bus, which hands it to
+		// the next rewind and drops the translations over the byte.
+		addr := f.Addr + uint32(f.Bit/8)
+		var b [1]byte
+		if p.Machine.Bus.ReadBytes(addr, b[:]) != nil {
+			return 0, fmt.Errorf("fault: address 0x%08x outside RAM", addr)
 		}
-		byteAddr := f.Addr + uint32(f.Bit/8)
-		ram[off+uint32(f.Bit/8)] ^= 1 << (f.Bit % 8)
-		// The flip bypasses the store path, so fold it into the dirty
-		// state by hand for the next rewind to restore.
-		p.Machine.NoteRAMWrite(byteAddr, 1)
-		// Drop only the translations overlapping the flipped byte; the
-		// dirty page makes the next rewind flush any blocks translated
-		// from the corrupted image.
-		p.Machine.InvalidateRange(byteAddr, byteAddr+1)
+		b[0] ^= 1 << (f.Bit % 8)
+		if err := p.Machine.Bus.WriteBytes(addr, b[:]); err != nil {
+			return 0, err
+		}
 	}
 
 	if f.Model == GPRPermanent {

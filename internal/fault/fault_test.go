@@ -1,9 +1,11 @@
 package fault_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/emu"
 	"repro/internal/fault"
 	"repro/internal/isa"
 	"repro/internal/vp"
@@ -137,6 +139,33 @@ func TestMemPermanentFault(t *testing.T) {
 		t.Errorf("overwritten data fault classified %v", out)
 	}
 	_ = w
+}
+
+// TestFlipPastRAMEndErrors: a memory flip whose byte lies past the end
+// of RAM (the last RAM byte, bit 31) is an "outside RAM" error, never a
+// panic: Inject returns it, and a campaign classifies the slot Errored
+// and goes on to the next mutant, on both engines.
+func TestFlipPastRAMEndErrors(t *testing.T) {
+	for _, eng := range []emu.Engine{emu.EngineSuperblock, emu.EngineSwitch} {
+		tg, _ := target(t, "crc32")
+		tg.Engine = eng
+		g, err := fault.RunGolden(tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		past := fault.Fault{Model: fault.MemPermanent, Addr: tg.StackTop() - 1, Bit: 31}
+		if _, err := fault.Inject(tg, g, past); err == nil || !strings.Contains(err.Error(), "outside RAM") {
+			t.Errorf("%v: Inject err %v, want outside RAM", eng, err)
+		}
+		plan := fault.Plan{Faults: []fault.Fault{past, {Model: fault.MemPermanent, Addr: vp.RAMBase, Bit: 0}}}
+		res, err := fault.CampaignOpt(tg, plan, fault.Options{Golden: g})
+		if err == nil || !strings.Contains(err.Error(), "outside RAM") {
+			t.Errorf("%v: campaign err %v, want outside RAM", eng, err)
+		}
+		if res.Details[0] != fault.Errored || res.Details[1] == fault.Errored {
+			t.Errorf("%v: outcomes %v, want errored then a guest outcome", eng, res.Details)
+		}
+	}
 }
 
 func TestCampaignAggregation(t *testing.T) {

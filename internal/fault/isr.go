@@ -62,7 +62,8 @@ type ISRPlanConfig struct {
 	// StackTop anchors the stack-frame window; use Target.StackTop().
 	StackTop uint32
 	// StackBytes is the window below StackTop covering the ISR's spill
-	// frame and the interrupted context (default 64).
+	// frame and the interrupted context (default 64). It must be a
+	// multiple of 4: memory faults flip bits of whole words in it.
 	StackBytes uint32
 }
 
@@ -78,6 +79,9 @@ func NewISRPlan(prog *asm.Program, handler string, conf ISRPlanConfig) (Plan, er
 	stackBytes := conf.StackBytes
 	if stackBytes == 0 {
 		stackBytes = 64
+	}
+	if stackBytes%4 != 0 {
+		return Plan{}, fmt.Errorf("fault: ISR stack window of %d bytes is not a whole number of words", stackBytes)
 	}
 	if conf.StackTop == 0 {
 		return Plan{}, fmt.Errorf("fault: ISR plan needs StackTop (use Target.StackTop)")

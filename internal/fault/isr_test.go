@@ -77,6 +77,19 @@ func isrPlan(t *testing.T, tgt *fault.Target, w workloads.Workload, g *fault.Gol
 	return plan
 }
 
+// TestISRPlanRejectsMisalignedStack: memory faults flip bits of whole
+// words, so a stack window that is not a whole number of words would
+// plan flips past its top, and past the end of RAM.
+func TestISRPlanRejectsMisalignedStack(t *testing.T) {
+	tgt, w := isrTarget(t, "pid_timer", 0)
+	_, err := fault.NewISRPlan(tgt.Program, w.Handler, fault.ISRPlanConfig{
+		MemPermanent: 50, StackTop: tgt.StackTop(), StackBytes: 6,
+	})
+	if err == nil {
+		t.Error("6-byte stack window accepted")
+	}
+}
+
 // TestISRCampaignEngineIdentity runs the same ISR-targeted campaign,
 // latency classification enabled, on every translated engine with the
 // pool on and off: the per-mutant outcome vector must be bit-identical.

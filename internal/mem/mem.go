@@ -91,13 +91,12 @@ type region struct {
 type Bus struct {
 	regions []region
 
-	// WriteNotify, when set, observes host-side bulk writes into bus
-	// memory (WriteBytes — program loaders, snapshot restores, injected
-	// corruption) as an absolute address range [lo, hi). The emulator
-	// points it at Machine.NoteRAMWriteRange so such writes are folded
-	// into the store watermark and dirty-page bitmap instead of being
-	// invisible to the rewind and code-validity machinery. Guest stores
-	// do not pass through it; the engines track those directly.
+	// WriteNotify, when set, observes host writes into bus memory
+	// (WriteBytes: the program loader, the DMA engine, injected faults)
+	// as an absolute address range [lo, hi). The emulator installs its
+	// host-write handler here, so such writes reach the rewind's dirty
+	// state and the translation cache exactly as guest stores do. Guest
+	// stores do not pass through it; the engines track those directly.
 	WriteNotify func(lo, hi uint32)
 
 	// stats counts dispatched accesses. Plain fields: the bus serves one

@@ -32,10 +32,18 @@ type binKey struct {
 // adopted by later run and fault jobs, whose fresh profiles match it by
 // value) and the fault goldens keyed by instruction budget.
 type binEntry struct {
+	key     binKey
 	mu      sync.Mutex
 	pool    *emu.TBPool
 	goldens map[uint64]*fault.Golden
 }
+
+// binCacheSize bounds the per-binary cache: the least recently used
+// binary beyond it is dropped, and its next job pays one golden run. It
+// sits well above the set of binaries a client keeps reusing (the
+// benchmark's service mix reuses 20), so one-off binaries cannot grow
+// the cache for the life of the process, nor push out that set.
+const binCacheSize = 64
 
 // bin returns the cache entry for a job's binary/engine/profile.
 func (s *Server) bin(j *Job) *binEntry {
@@ -55,11 +63,18 @@ func (s *Server) bin(j *Job) *binEntry {
 	h.Write([]byte(j.req.UARTIn))
 	key := binKey{engine: j.engine, profile: j.profile.ProfileName}
 	h.Sum(key.image[:0])
-	e, loaded := s.bins.Load(key)
-	if !loaded {
-		e, _ = s.bins.LoadOrStore(key, &binEntry{goldens: map[uint64]*fault.Golden{}})
+	s.binMu.Lock()
+	defer s.binMu.Unlock()
+	if el, ok := s.bins[key]; ok {
+		s.binLRU.MoveToFront(el)
+		return el.Value.(*binEntry)
 	}
-	return e.(*binEntry)
+	e := &binEntry{key: key, goldens: map[uint64]*fault.Golden{}}
+	s.bins[key] = s.binLRU.PushFront(e)
+	if s.binLRU.Len() > binCacheSize {
+		delete(s.bins, s.binLRU.Remove(s.binLRU.Back()).(*binEntry).key)
+	}
+	return e
 }
 
 // poolShare counts cross-job translation-pool cache traffic.
@@ -229,7 +244,7 @@ func (s *Server) execFault(ctx context.Context, j *Job) (any, error) {
 		GoldenStop: golden.Stop.String(),
 		GoldenInst: golden.Insts,
 		DurationMS: float64(res.Duration) / float64(time.Millisecond),
-		PoolShared: pool != nil,
+		PoolShared: pool != nil && pool.Size() > 0,
 	}
 	for o, n := range res.ByOutcome {
 		out.ByOutcome[o.String()] = n

@@ -158,6 +158,13 @@ func TestFaultPlanCaps(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+	// An ISR stack window that is not whole words would plan memory
+	// flips past its top: this one past the end of RAM.
+	spec := FaultSpec{MemPermanent: 50, ISRHandler: "handler", StackBytes: 6}
+	resp, _ := postJob(t, ts, Request{Type: "fault", Source: src(t, "pid_timer"), Fault: &spec})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("misaligned stack_bytes: status %d, want 400", resp.StatusCode)
+	}
 }
 
 // TestRequestFieldCaps: every sized request field has a cap; one past

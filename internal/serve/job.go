@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/asm"
-	"repro/internal/elf"
 	"repro/internal/emu"
 	"repro/internal/timing"
 	"repro/internal/vp"
@@ -235,10 +234,6 @@ var jobTypes = map[string]bool{
 	"subset": true, "irt": true,
 }
 
-// maxELFImage bounds the flattened address span of an uploaded ELF, so
-// a malicious segment layout cannot make the server allocate gigabytes.
-const maxELFImage = 32 << 20
-
 // resolveProgram turns the request's Source or ELF into the flat
 // program image every analysis layer consumes.
 func resolveProgram(req *Request) (*asm.Program, error) {
@@ -248,50 +243,7 @@ func resolveProgram(req *Request) (*asm.Program, error) {
 	case req.Source != "":
 		return asm.AssembleAt(vp.Prelude+req.Source, vp.RAMBase)
 	case len(req.ELF) > 0:
-		img, err := elf.Read(req.ELF)
-		if err != nil {
-			return nil, err
-		}
-		return programFromELF(img)
+		return vp.ProgramFromELF(req.ELF)
 	}
 	return nil, fmt.Errorf("job needs source or elf")
-}
-
-// programFromELF flattens a loaded ELF image into the asm.Program shape
-// (origin, contiguous bytes, entry, symbols) the campaign and analysis
-// entry points share with assembled sources.
-func programFromELF(img *elf.Image) (*asm.Program, error) {
-	if len(img.Segments) == 0 {
-		return nil, fmt.Errorf("elf has no loadable segments")
-	}
-	// Segment ends are computed in uint64: seg.Addr+len(seg.Data) wraps
-	// uint32 for segments reaching the top of the address space, which
-	// would bypass the span check below and panic in the copy.
-	lo, hi := uint64(^uint32(0)), uint64(0)
-	for _, seg := range img.Segments {
-		end := uint64(seg.Addr) + uint64(len(seg.Data))
-		if end > 1<<32 {
-			return nil, fmt.Errorf("elf segment at 0x%08x overflows the 32-bit address space (%d bytes)",
-				seg.Addr, len(seg.Data))
-		}
-		if uint64(seg.Addr) < lo {
-			lo = uint64(seg.Addr)
-		}
-		if end > hi {
-			hi = end
-		}
-	}
-	if hi < lo || hi-lo > maxELFImage {
-		return nil, fmt.Errorf("elf image span %d bytes exceeds the %d limit", hi-lo, maxELFImage)
-	}
-	bytes := make([]byte, hi-lo)
-	for _, seg := range img.Segments {
-		copy(bytes[uint64(seg.Addr)-lo:], seg.Data)
-	}
-	return &asm.Program{
-		Org:     uint32(lo),
-		Entry:   img.Entry,
-		Bytes:   bytes,
-		Symbols: img.Symbols,
-	}, nil
 }

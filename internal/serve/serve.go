@@ -18,7 +18,7 @@
 // job: the golden run of the binary's first campaign publishes the pool
 // (fault.Prepare), later campaign and run jobs adopt it, and the pool's
 // tag compares timing profiles by value, so each job's fresh profile
-// matches.
+// matches. The cache keeps the most recently used binaries only.
 //
 // The durability layer (internal/serve/store) journals every accepted
 // submission and terminal transition to an append-only JSONL file: a
@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -163,7 +164,11 @@ type Server struct {
 	draining bool
 	wg       sync.WaitGroup
 
-	bins sync.Map // binKey -> *binEntry: per-binary golden/pool cache
+	// binMu guards the per-binary golden/pool cache: bins indexes binLRU,
+	// whose front is the most recently used *binEntry.
+	binMu  sync.Mutex
+	bins   map[binKey]*list.Element
+	binLRU list.List
 
 	// instruments
 	mDepth       *obs.Gauge
@@ -200,6 +205,7 @@ func New(cfg Config) *Server {
 		start: time.Now(),
 		jobs:  make(map[string]*Job),
 		idem:  make(map[string]string),
+		bins:  make(map[binKey]*list.Element),
 		// The channel is deliberately larger than the logical queue
 		// bound: cancelled-while-queued jobs release their logical slot
 		// immediately but stay in the channel until a worker drains
@@ -257,8 +263,9 @@ const (
 	maxIRQSamples = 1 << 16
 )
 
-// checkPlanSize rejects a fault spec whose mutant counts are negative
-// or whose plan, shard or stack-window size exceeds the caps.
+// checkPlanSize rejects a fault spec whose mutant counts are negative,
+// whose plan, shard or stack-window size exceeds the caps, or whose
+// stack window is not whole words.
 // Each count is checked before summing, so the sum cannot overflow.
 func checkPlanSize(f *FaultSpec) error {
 	total := 0
@@ -274,8 +281,8 @@ func checkPlanSize(f *FaultSpec) error {
 	if f.Shards < 0 || f.Shards > maxFaultShards {
 		return fmt.Errorf("fault shards must be in [0, %d], got %d", maxFaultShards, f.Shards)
 	}
-	if f.StackBytes > maxStackBytes {
-		return fmt.Errorf("fault stack_bytes must be <= %d, got %d", maxStackBytes, f.StackBytes)
+	if f.StackBytes > maxStackBytes || f.StackBytes%4 != 0 {
+		return fmt.Errorf("fault stack_bytes must be a multiple of 4 and <= %d, got %d", maxStackBytes, f.StackBytes)
 	}
 	return nil
 }

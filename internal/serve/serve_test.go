@@ -343,6 +343,72 @@ func TestPoolCacheSharing(t *testing.T) {
 	}
 }
 
+// TestPoolSharedNeedsBlocks: a golden run whose stores bracket all of
+// its code in its only page leaves no clean translation to pool, so the
+// fault job reports that it shared none.
+func TestPoolSharedNeedsBlocks(t *testing.T) {
+	const selfWrite = `
+lo:
+	.word 0
+_start:
+	la t0, lo
+	li t1, 7
+	sw t1, 0(t0)
+	la t0, hi
+	sw t1, 0(t0)
+	lw a0, 0(t0)
+	li t6, SYSCON_EXIT
+	sw a0, 0(t6)
+1:	j 1b
+hi:
+	.word 0
+`
+	s := newServer(t, Config{Workers: 1})
+	st, err := s.Submit(Request{Type: "fault", Source: selfWrite, Fault: &FaultSpec{Seed: 1, GPRTransient: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = wait(t, s, st.ID); st.State != StateDone {
+		t.Fatalf("state %s (err %q)", st.State, st.Error)
+	}
+	_, res, _ := s.Result(st.ID)
+	if fr := res.(FaultResult); fr.PoolShared {
+		t.Errorf("pool_shared = true for an empty pool (golden %s)", fr.GoldenStop)
+	}
+}
+
+// TestBinCacheBounded: the per-binary cache keeps at most binCacheSize
+// entries, dropping the least recently used, so a binary reused in
+// between one-off binaries stays cached.
+func TestBinCacheBounded(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	job := func(i int) *Job {
+		j, err := s.buildJob(Request{Type: "run", Source: fmt.Sprintf("\tli a0, %d\n\tebreak\n", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	reused := job(-1)
+	want := s.bin(reused)
+	first := s.bin(job(0))
+	for i := 1; i <= binCacheSize; i++ {
+		s.bin(job(i))
+		if s.bin(reused) != want {
+			t.Fatalf("reused binary missed after %d one-off binaries", i)
+		}
+	}
+	s.binMu.Lock()
+	n := len(s.bins)
+	s.binMu.Unlock()
+	if n > binCacheSize {
+		t.Errorf("%d cached binaries, want at most %d", n, binCacheSize)
+	}
+	if s.bin(job(0)) == first {
+		t.Error("least recently used binary was not evicted")
+	}
+}
+
 func TestQueueOverflowSheds(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueDepth: 2})
 	release := make(chan struct{})

@@ -73,13 +73,12 @@ func TestRestoreInvalidatesStaleCode(t *testing.T) {
 	}
 	base := p.Snapshot() // image: li a0, 5
 
-	// Host-patch the immediate to 9 and run, so the cache holds blocks
-	// compiled from the patched image. A raw RAM write must be reported
-	// to the dirty-state tracking (the RestoreReuse contract).
-	ram := p.RAM.Bytes()
-	ram[2] = 0x90 // addi a0,x0,5 (0x00500513) -> addi a0,x0,9
-	p.Machine.NoteRAMWrite(vp.RAMBase+2, 1)
-	p.Machine.InvalidateTBs()
+	// Host-patch the immediate to 9 through the bus and run, so the
+	// cache holds blocks compiled from the patched image.
+	// addi a0,x0,5 (0x00500513) -> addi a0,x0,9
+	if err := p.Machine.Bus.WriteBytes(vp.RAMBase+2, []byte{0x90}); err != nil {
+		t.Fatal(err)
+	}
 	if stop := p.Run(1000); stop.Reason != emu.StopEbreak {
 		t.Fatalf("patched run: %v", stop)
 	}
@@ -214,5 +213,54 @@ func TestRestoreKeepsCacheOverDataPageInCode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHostWriteRetiresTranslations: a host Bus.WriteBytes over code the
+// machine has translated takes effect at the next Run, with no explicit
+// invalidation and no rewind, on every engine, with and without an
+// attached pool holding the old code.
+func TestHostWriteRetiresTranslations(t *testing.T) {
+	const src = `
+	li a0, 0
+loop:
+	addi a0, a0, 1
+	j loop
+`
+	// addi a0, a0, 1 (0x00150513) -> addi a0, a0, 64 (0x04050513)
+	patch := []byte{0x13, 0x05, 0x05, 0x04}
+	for _, e := range emu.Engines() {
+		for _, withPool := range []bool{false, true} {
+			load := func() (*vp.Platform, *asm.Program) {
+				p, err := vp.New(vp.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Machine.Engine = e
+				prog, err := p.LoadSource(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, prog
+			}
+			p, prog := load()
+			if withPool {
+				donor, _ := load()
+				donor.Run(1000)
+				p.Machine.AttachTBPool(donor.Machine.BuildTBPool())
+			}
+			p.Run(1001)
+			if p.Machine.CachedBlocks() == 0 {
+				t.Fatalf("%v pool=%v: nothing translated", e, withPool)
+			}
+			if err := p.Machine.Bus.WriteBytes(prog.Symbols["loop"], patch); err != nil {
+				t.Fatal(err)
+			}
+			before := p.Machine.Hart.Reg(isa.A0)
+			p.Run(2000)
+			if d := p.Machine.Hart.Reg(isa.A0) - before; d%64 != 0 || d < 64*900 {
+				t.Errorf("%v pool=%v: a0 grew by %d over 1000 iterations, want steps of 64", e, withPool, d)
+			}
+		}
 	}
 }

@@ -122,12 +122,11 @@ func New(cfg Config) (*Platform, error) {
 	p.Clint.Now = p.Machine.PollCycle
 	syscon.OnExit = p.Machine.RequestStop
 
-	// The DMA engine reaches guest memory over the bus (WriteBytes feeds
-	// the write notification, keeping dirty-page tracking sound) and
-	// anchors kicks to guest time; its completion line and the UART's
-	// receive line feed the PLIC, which the machine polls as its
-	// external-interrupt source.
-	p.DMA.Mem = dmaBusMem{p}
+	// The DMA engine writes guest memory through the bus, as every host
+	// writer does, and anchors kicks to guest time; its completion line
+	// and the UART's receive line feed the PLIC, which the machine polls
+	// as its external-interrupt source.
+	p.DMA.Mem = bus
 	p.DMA.Now = func() uint64 { return p.Machine.Hart.Cycle }
 	p.Plic.SetSource(dev.PLICLineDMA, p.DMA.IRQ)
 	p.Plic.SetSource(dev.PLICLineUART, p.UART.RxAvail)
@@ -161,60 +160,59 @@ func (e extSources) NextEvent() (uint64, bool) {
 	return at, ok
 }
 
-// dmaBusMem routes DMA guest-memory accesses over the platform bus so
-// host-side copies stay visible to the dirty-state tracking, and drops
-// any translations covering code the DMA overwrites (a fault campaign
-// can corrupt a descriptor to point at code; engine equivalence demands
-// the translated engines observe the new bytes exactly as Step does).
-type dmaBusMem struct{ p *Platform }
-
-func (m dmaBusMem) ReadWord(addr uint32) (uint32, error) {
-	var b [4]byte
-	if err := m.p.Machine.Bus.ReadBytes(addr, b[:]); err != nil {
-		return 0, err
+// LoadProgram places an assembled or flattened program in RAM and resets
+// the hart to its entry with the stack pointer at the top of RAM. It is
+// the one loader: an ELF executable goes through ProgramFromELF first.
+func (p *Platform) LoadProgram(prog *asm.Program) error {
+	if err := p.Machine.Bus.WriteBytes(prog.Org, prog.Bytes); err != nil {
+		return fmt.Errorf("vp: load program: %w", err)
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-}
-
-func (m dmaBusMem) WriteWord(addr uint32, val uint32) error {
-	b := [4]byte{byte(val), byte(val >> 8), byte(val >> 16), byte(val >> 24)}
-	if err := m.p.Machine.Bus.WriteBytes(addr, b[:]); err != nil {
-		return err
-	}
-	m.p.Machine.InvalidateRange(addr, addr+4)
-	return nil
-}
-
-// LoadImage places a flat binary at addr and resets the hart to entry
-// with the stack pointer at the top of RAM.
-func (p *Platform) LoadImage(addr uint32, image []byte, entry uint32) error {
-	if err := p.Machine.Bus.WriteBytes(addr, image); err != nil {
-		return fmt.Errorf("vp: load image: %w", err)
-	}
-	p.Machine.Reset(entry)
+	p.Machine.Reset(prog.Entry)
 	p.Machine.Hart.SetReg(isa.SP, RAMBase+p.RAM.Size())
 	return nil
 }
 
-// LoadProgram loads an assembled program.
-func (p *Platform) LoadProgram(prog *asm.Program) error {
-	return p.LoadImage(prog.Org, prog.Bytes, prog.Entry)
-}
+// maxELFImage bounds the flattened address span of an ELF executable, so
+// a hostile segment layout cannot make the loader allocate gigabytes; no
+// span above it fits the platform's RAM anyway.
+const maxELFImage = 32 << 20
 
-// LoadELF loads an ELF32 executable.
-func (p *Platform) LoadELF(data []byte) (*elf.Image, error) {
+// ProgramFromELF flattens an ELF32 executable into the asm.Program shape
+// (origin, contiguous bytes, entry, symbols) that LoadProgram and every
+// analysis consume, zero-filling the gaps between segments.
+func ProgramFromELF(data []byte) (*asm.Program, error) {
 	img, err := elf.Read(data)
 	if err != nil {
 		return nil, err
 	}
+	// Segment ends are computed in uint64: seg.Addr+len(seg.Data) wraps
+	// uint32 for segments reaching the top of the address space, which
+	// would bypass the span check below and panic in the copy. An empty
+	// segment places no byte, so it does not widen the span.
+	lo, hi := uint64(^uint32(0)), uint64(0)
 	for _, seg := range img.Segments {
-		if err := p.Machine.Bus.WriteBytes(seg.Addr, seg.Data); err != nil {
-			return nil, fmt.Errorf("vp: load ELF segment at 0x%08x: %w", seg.Addr, err)
+		end := uint64(seg.Addr) + uint64(len(seg.Data))
+		if end > 1<<32 {
+			return nil, fmt.Errorf("elf segment at 0x%08x overflows the 32-bit address space (%d bytes)",
+				seg.Addr, len(seg.Data))
+		}
+		if len(seg.Data) > 0 {
+			lo, hi = min(lo, uint64(seg.Addr)), max(hi, end)
 		}
 	}
-	p.Machine.Reset(img.Entry)
-	p.Machine.Hart.SetReg(isa.SP, RAMBase+p.RAM.Size())
-	return img, nil
+	if hi == 0 {
+		return nil, fmt.Errorf("elf has no loadable segments")
+	}
+	if hi-lo > maxELFImage {
+		return nil, fmt.Errorf("elf image span %d bytes exceeds the %d limit", hi-lo, maxELFImage)
+	}
+	bytes := make([]byte, hi-lo)
+	for _, seg := range img.Segments {
+		if len(seg.Data) > 0 {
+			copy(bytes[uint64(seg.Addr)-lo:], seg.Data)
+		}
+	}
+	return &asm.Program{Org: uint32(lo), Entry: img.Entry, Bytes: bytes, Symbols: img.Symbols}, nil
 }
 
 // LoadSource assembles source at the RAM base and loads it.
@@ -339,10 +337,8 @@ func (s *Snapshot) fill(ram []byte, lo, hi uint32) {
 // zeroed. Hart and device state are restored in full.
 //
 // s must have been taken immediately after loading prog (the fault
-// campaign's base snapshot), and every RAM write since must be visible
-// to the dirty-state tracking — guest stores are, bus-level host writes
-// arrive via the write notification, and raw writes into RAM.Bytes()
-// need Machine.NoteRAMWrite.
+// campaign's base snapshot), and every RAM write since must be either a
+// guest store or a Bus.WriteBytes.
 //
 // The rewind also decides which translations survive: they are kept
 // (the warm cache is what makes recycling a platform pay) unless a

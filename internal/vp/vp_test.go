@@ -75,6 +75,9 @@ func TestLoadSourceRunsAtRAMBase(t *testing.T) {
 	}
 }
 
+// TestLoadELFRoundTrip: an ELF executable loads through ProgramFromELF
+// and LoadProgram and runs. Its empty segment far below RAM places no
+// byte, so it neither widens the image nor stops the load.
 func TestLoadELFRoundTrip(t *testing.T) {
 	prog, err := asm.AssembleAt(vp.Prelude+`
 _start:
@@ -88,19 +91,23 @@ _start:
 	}
 	data := elf.Write(&elf.Image{
 		Entry:    prog.Entry,
-		Segments: []elf.Segment{{Addr: prog.Org, Data: prog.Bytes}},
+		Segments: []elf.Segment{{Addr: 0}, {Addr: prog.Org, Data: prog.Bytes}},
 		Symbols:  prog.Symbols,
 	})
 	p, err := vp.New(vp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := p.LoadELF(data)
+	got, err := vp.ProgramFromELF(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Entry != prog.Entry {
-		t.Error("entry mismatch")
+	if got.Entry != prog.Entry || got.Org != prog.Org || !bytes.Equal(got.Bytes, prog.Bytes) {
+		t.Errorf("flattened image: org 0x%x entry 0x%x, %d bytes; want 0x%x, 0x%x, %d",
+			got.Org, got.Entry, len(got.Bytes), prog.Org, prog.Entry, len(prog.Bytes))
+	}
+	if err := p.LoadProgram(got); err != nil {
+		t.Fatal(err)
 	}
 	stop := p.Run(1000)
 	if stop.Reason != emu.StopExit || stop.Code != 5 {
@@ -110,14 +117,95 @@ _start:
 
 func TestLoadELFRejectsOutOfRAM(t *testing.T) {
 	p, _ := vp.New(vp.Config{})
-	data := elf.Write(&elf.Image{
+	prog, err := vp.ProgramFromELF(elf.Write(&elf.Image{
 		Entry:    0x1000,
 		Segments: []elf.Segment{{Addr: 0x1000, Data: []byte{1, 2, 3, 4}}},
 		Symbols:  map[string]uint32{},
-	})
-	if _, err := p.LoadELF(data); err == nil {
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LoadProgram(prog); err == nil {
 		t.Error("segment outside RAM should fail to load")
 	}
+}
+
+// maxELFImage is vp's cap on a flattened ELF image.
+const maxELFImage = 32 << 20
+
+// TestProgramFromELFOverflow pins the uint32-wrap fix in ProgramFromELF:
+// a segment whose end wraps the 32-bit address space used to pass the
+// span check and panic in the copy; it must be rejected cleanly, while
+// a segment legitimately ending exactly at 2^32 stays loadable.
+func TestProgramFromELFOverflow(t *testing.T) {
+	mk := func(segs ...elf.Segment) []byte {
+		img := &elf.Image{Segments: segs}
+		if len(segs) > 0 {
+			img.Entry = segs[0].Addr
+		}
+		return elf.Write(img)
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"wraps top of address space",
+			mk(elf.Segment{Addr: 0xFFFFFFF0, Data: make([]byte, 0x20)}), "overflows"},
+		{"wraps by one byte",
+			mk(elf.Segment{Addr: 0xFFFFFFFF, Data: make([]byte, 2)}), "overflows"},
+		{"wraps far past zero",
+			mk(elf.Segment{Addr: 0xFFFF0000, Data: make([]byte, 0x20000)}), "overflows"},
+		{"span too large",
+			mk(elf.Segment{Addr: 0, Data: []byte{1}},
+				elf.Segment{Addr: 0xFFFF0000, Data: []byte{1}}), "exceeds"},
+		{"no segments", mk(), "no loadable segments"},
+		{"only empty segments", mk(elf.Segment{Addr: 0x1000}), "no loadable segments"},
+		{"not an ELF", []byte("\x7fELF"), "bad magic"},
+		{"exact top fit",
+			mk(elf.Segment{Addr: 0xFFFFFF00, Data: make([]byte, 0x100)}), ""},
+		{"two segments merge",
+			mk(elf.Segment{Addr: 0x1000, Data: []byte{1, 2, 3, 4}},
+				elf.Segment{Addr: 0x2000, Data: []byte{5, 6}}), ""},
+	}
+	for _, c := range cases {
+		p, err := vp.ProgramFromELF(c.data)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err %v, want substring %q", c.name, err, c.wantErr)
+		}
+		if p != nil {
+			t.Errorf("%s: got a program alongside the error", c.name)
+		}
+	}
+}
+
+// FuzzProgramFromELF drives segment geometry through the flattener: no
+// input may panic, and accepted images must respect the span bound.
+func FuzzProgramFromELF(f *testing.F) {
+	f.Add(uint32(0x1000), uint16(64), uint32(0x2000), uint16(32))
+	f.Add(uint32(0xFFFFFFF0), uint16(0x20), uint32(0), uint16(0))
+	f.Add(uint32(0xFFFFFFFF), uint16(2), uint32(0xFFFF0000), uint16(1))
+	f.Add(uint32(0), uint16(1), uint32(0xFFFFFFFE), uint16(4))
+	f.Fuzz(func(t *testing.T, a1 uint32, n1 uint16, a2 uint32, n2 uint16) {
+		data := elf.Write(&elf.Image{Segments: []elf.Segment{
+			{Addr: a1, Data: make([]byte, n1)},
+			{Addr: a2, Data: make([]byte, n2)},
+		}})
+		p, err := vp.ProgramFromELF(data)
+		if err != nil {
+			return
+		}
+		if len(p.Bytes) > maxELFImage {
+			t.Fatalf("accepted image of %d bytes (addrs 0x%x+%d, 0x%x+%d)",
+				len(p.Bytes), a1, n1, a2, n2)
+		}
+	})
 }
 
 func TestConsoleStreaming(t *testing.T) {
