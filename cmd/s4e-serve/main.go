@@ -14,8 +14,8 @@
 // Usage:
 //
 //	s4e-serve [-addr :8080] [-workers N] [-queue 16] [-timeout 60s]
-//	          [-budget 10000000] [-retries 2] [-state DIR]
-//	          [-retain 4096] [-retain-ttl 0]
+//	          [-budget 10000000] [-state DIR] [-retain 4096]
+//	          [-retain-ttl 0] [-drain 30s]
 //
 // The API:
 //
@@ -65,7 +65,6 @@ func main() {
 	queue := flag.Int("queue", 16, "bounded queue depth (full queue sheds with 429)")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-job execution timeout")
 	budget := flag.Uint64("budget", 10_000_000, "default per-job instruction budget")
-	retries := flag.Int("retries", 2, "retries for transiently failing jobs")
 	state := flag.String("state", "",
 		"state directory for the persistent job journal (empty = in-memory only)")
 	retain := flag.Int("retain", 4096, "finished jobs kept in memory before eviction")
@@ -99,7 +98,6 @@ func main() {
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		DefaultBudget:  *budget,
-		Retries:        *retries,
 		MaxTerminal:    *retain,
 		TerminalTTL:    *retainTTL,
 		Store:          st,

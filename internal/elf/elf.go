@@ -21,10 +21,14 @@ const (
 	shSize = 40
 )
 
-// Segment is one loadable chunk of the image.
+// Segment is one loadable chunk of the image: Data holds the bytes the
+// file carries, MemSize the bytes the segment spans in memory, the tail
+// past Data being zero (bss). Read sets MemSize >= len(Data); Write
+// treats a smaller MemSize as len(Data).
 type Segment struct {
-	Addr uint32
-	Data []byte
+	Addr    uint32
+	Data    []byte
+	MemSize uint32
 }
 
 // Image is the loader's view of an executable.
@@ -116,7 +120,7 @@ func Write(img *Image) []byte {
 		le.PutUint32(ph[8:], s.Addr)  // vaddr
 		le.PutUint32(ph[12:], s.Addr) // paddr
 		le.PutUint32(ph[16:], uint32(len(s.Data)))
-		le.PutUint32(ph[20:], uint32(len(s.Data)))
+		le.PutUint32(ph[20:], max(s.MemSize, uint32(len(s.Data))))
 		le.PutUint32(ph[24:], 7) // RWX
 		le.PutUint32(ph[28:], 4) // align
 		out = append(out, ph...)
@@ -153,7 +157,9 @@ func Write(img *Image) []byte {
 	return out
 }
 
-// Read parses an ELF32 RISC-V executable.
+// Read parses an ELF32 RISC-V executable. It copies only the bytes the
+// file holds: a header claiming a huge memory size allocates nothing
+// here, and a loader checks MemSize before it sizes memory from it.
 func Read(data []byte) (*Image, error) {
 	le := binary.LittleEndian
 	if len(data) < ehSize || string(data[:4]) != "\x7fELF" {
@@ -188,9 +194,11 @@ func Read(data []byte) (*Image, error) {
 		if int(fileOff)+int(filesz) > len(data) {
 			return nil, fmt.Errorf("elf: segment %d data out of bounds", i)
 		}
-		seg := make([]byte, memsz)
-		copy(seg, data[fileOff:fileOff+filesz])
-		img.Segments = append(img.Segments, Segment{Addr: vaddr, Data: seg})
+		if memsz < filesz {
+			return nil, fmt.Errorf("elf: segment %d memory size %d is below its file size %d", i, memsz, filesz)
+		}
+		seg := append([]byte(nil), data[fileOff:fileOff+filesz]...)
+		img.Segments = append(img.Segments, Segment{Addr: vaddr, Data: seg, MemSize: memsz})
 	}
 
 	// Symbols (optional).

@@ -1,6 +1,7 @@
 package elf
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -131,7 +132,8 @@ loop:	j loop
 }
 
 func TestBSSStyleSegment(t *testing.T) {
-	// memsz > filesz: the tail must be zero-filled. Construct by hand.
+	// memsz > filesz: Read keeps the file bytes and reports the memory
+	// size; the loader zero-fills the tail. Construct by hand.
 	img := &Image{Entry: 0, Segments: []Segment{{Addr: 0, Data: []byte{1, 2}}}, Symbols: map[string]uint32{}}
 	data := Write(img)
 	// Patch p_memsz (offset 52+20) to 8.
@@ -140,10 +142,25 @@ func TestBSSStyleSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Segments[0].Data) != 8 {
-		t.Fatalf("memsz expansion: %d", len(got.Segments[0].Data))
+	if seg := got.Segments[0]; seg.MemSize != 8 || string(seg.Data) != "\x01\x02" {
+		t.Fatalf("memsz %d, data % x; want 8, 01 02", seg.MemSize, seg.Data)
 	}
-	if got.Segments[0].Data[0] != 1 || got.Segments[0].Data[7] != 0 {
-		t.Error("bss tail not zero-filled")
+	// Write carries the memory size back out.
+	again, err := Read(Write(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Segments[0].MemSize != 8 || len(again.Segments[0].Data) != 2 {
+		t.Errorf("round trip: memsz %d, %d file bytes", again.Segments[0].MemSize, len(again.Segments[0].Data))
+	}
+}
+
+// TestMemSizeBelowFileSizeRejected: a segment whose memory size is
+// smaller than its file bytes is malformed, not silently truncated.
+func TestMemSizeBelowFileSizeRejected(t *testing.T) {
+	data := Write(&Image{Segments: []Segment{{Addr: 0x1000, Data: []byte{1, 2, 3, 4}}}})
+	data[52+20] = 2 // p_memsz
+	if _, err := Read(data); err == nil || !strings.Contains(err.Error(), "below its file size") {
+		t.Errorf("err %v, want memsz < filesz rejection", err)
 	}
 }

@@ -163,8 +163,8 @@ type Target struct {
 	Engine emu.Engine
 
 	// RAMSize bounds the platform memory; 0 picks a minimal size
-	// covering the image plus stack headroom, which keeps per-worker
-	// platforms and snapshots cheap.
+	// covering the image (from the RAM base to its end) plus stack
+	// headroom, which keeps per-worker platforms and snapshots cheap.
 	RAMSize uint32
 }
 
@@ -173,6 +173,9 @@ func (t *Target) ramSize() uint32 {
 		return t.RAMSize
 	}
 	need := uint32(len(t.Program.Bytes)) + 64<<10
+	if org := t.Program.Org; org > vp.RAMBase { // below the base, the load fails anyway
+		need += org - vp.RAMBase
+	}
 	const minRAM = 1 << 20
 	if need < minRAM {
 		return minRAM

@@ -14,32 +14,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestRetryStopsAtJobDeadline pins the retry-loop fix: when the job
-// context expires during the backoff sleep, the worker must not burn a
-// further attempt on the dead context — the attempt count stays honest
-// and the reported error is the original transient failure, not the
-// context error of a doomed re-execution.
-func TestRetryStopsAtJobDeadline(t *testing.T) {
-	s := newServer(t, Config{Workers: 1, Retries: 5, RetryBackoff: 150 * time.Millisecond})
-	s.execOverride = func(ctx context.Context, j *Job) (any, error) {
-		return nil, Transient(fmt.Errorf("flaky dependency"))
-	}
-	st, err := s.Submit(Request{Type: "run", Source: src(t, "xtea"), TimeoutMS: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = wait(t, s, st.ID)
-	if st.State != StateErrored {
-		t.Fatalf("state %s, want errored", st.State)
-	}
-	if st.Attempts != 1 {
-		t.Errorf("attempts %d, want 1 (no re-execution on an expired context)", st.Attempts)
-	}
-	if !strings.Contains(st.Error, "flaky dependency") {
-		t.Errorf("error %q lost the original transient failure", st.Error)
-	}
-}
-
 // TestProgramFromELFOverflow: an uploaded ELF carrying a segment whose
 // end wraps the 32-bit address space comes back as a clean submission
 // error, not a panic (vp.ProgramFromELF's own cases live in vp).
@@ -53,9 +27,9 @@ func TestProgramFromELFOverflow(t *testing.T) {
 }
 
 // TestCancelQueuedReleasesCapacity pins the accounting fix: cancelling
-// a queued job must free its queue slot immediately (counter, gauge,
-// admission), and the husk a worker later drains must not release the
-// slot a second time.
+// a queued job must free its queue slot immediately (gauge, admission),
+// and the slot must not be released a second time when the remaining
+// jobs drain.
 func TestCancelQueuedReleasesCapacity(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueDepth: 2})
 	started := make(chan struct{})
@@ -105,7 +79,7 @@ func TestCancelQueuedReleasesCapacity(t *testing.T) {
 	wait(t, s, first.ID)
 	wait(t, s, q2.ID)
 	wait(t, s, q3.ID)
-	// Draining the cancelled husk must not double-release: depth ends at
+	// The cancelled job must not be released twice: depth ends at
 	// exactly zero, not negative.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.mDepth.Value() != 0 && time.Now().Before(deadline) {
@@ -368,7 +342,7 @@ func TestShardedCampaignMatchesCLI(t *testing.T) {
 }
 
 // TestShardedCampaignSingleWorker: with one worker the coordinator must
-// run every shard inline or via the help loop — never deadlock.
+// run every shard itself through the help loop — never deadlock.
 func TestShardedCampaignSingleWorker(t *testing.T) {
 	w, _ := workloads.ByName("xtea")
 	spec := FaultSpec{Seed: 3, GPRTransient: 12, CodeBitflip: 8, Shards: 4}

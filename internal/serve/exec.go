@@ -122,7 +122,7 @@ type RunResult struct {
 func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	p, err := j.newPlatform()
 	if err != nil {
-		return nil, Transient(err)
+		return nil, err
 	}
 	defer p.Release()
 	e := s.bin(j)
@@ -130,7 +130,7 @@ func (s *Server) execRun(ctx context.Context, j *Job) (any, error) {
 	pool := e.pool
 	e.mu.Unlock()
 	p.Machine.AttachTBPool(pool) // nil attach is a no-op detach
-	s.poolShare(p.Machine.TBPoolAttached())
+	s.poolShare(pool != nil && pool.Size() > 0)
 	stop, err := p.RunContext(ctx, j.budget)
 	return RunResult{
 		Reason: stop.Reason.String(), Code: stop.Code, PC: stop.PC,
@@ -209,7 +209,8 @@ func (s *Server) execFault(ctx context.Context, j *Job) (any, error) {
 			return nil, err
 		}
 	} else {
-		end := vp.RAMBase + uint32(len(j.prog.Bytes))
+		org := j.prog.Org
+		end := org + uint32(len(j.prog.Bytes))
 		plan = fault.NewPlan(fault.PlanConfig{
 			Seed:         spec.Seed,
 			GPRTransient: spec.GPRTransient,
@@ -217,8 +218,8 @@ func (s *Server) execFault(ctx context.Context, j *Job) (any, error) {
 			MemPermanent: spec.MemPermanent,
 			CodeBitflip:  spec.CodeBitflip,
 			GoldenInsts:  golden.Insts,
-			CodeStart:    vp.RAMBase, CodeEnd: end,
-			DataStart: vp.RAMBase, DataEnd: end,
+			CodeStart:    org, CodeEnd: end,
+			DataStart: org, DataEnd: end,
 		})
 	}
 	opts := fault.Options{Workers: 1, Golden: golden, Pool: pool, Metrics: s.reg}
@@ -315,7 +316,7 @@ func (s *Server) execQTA(ctx context.Context, j *Job) (any, error) {
 	}
 	p, err := j.newPlatform()
 	if err != nil {
-		return nil, Transient(err)
+		return nil, err
 	}
 	defer p.Release()
 	q, stop, err := qta.CoSim(ctx, a.Annotated, p, j.budget)

@@ -157,7 +157,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.cfg.Workers,
-		QueueDepth:    s.queued,
+		QueueDepth:    len(s.pending),
 		QueueCapacity: s.cfg.QueueDepth,
 		Jobs:          len(s.jobs),
 	}

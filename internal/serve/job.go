@@ -158,10 +158,9 @@ type Job struct {
 	result    any
 	cancel    func() // non-nil while running
 	cancelled bool   // user-requested (vs deadline)
-	released  bool   // queue-slot accounting already released (cancelled while queued)
 
-	// shardRun marks an internal campaign-shard work item riding the job
-	// queue; such items never enter the jobs map or the journal.
+	// shardRun marks an internal campaign-shard work item on the pending
+	// list; such items never enter the jobs map or the journal.
 	shardRun func()
 
 	// lifecycle event stream (see events.go); guarded by the server

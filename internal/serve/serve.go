@@ -8,11 +8,13 @@
 // context deadlines and cancellation threaded into the analysis entry
 // points (fault.CampaignContext, wcet.AnalyzeContext, qta.CoSim,
 // vp.RunContext), per-job panic recovery that marks the job errored
-// without killing its worker, retry-with-backoff for transient
-// failures, graceful shutdown that drains in-flight jobs, and
-// first-class observability through the internal/obs registry
+// without killing its worker, graceful shutdown that drains in-flight
+// jobs, and first-class observability through the internal/obs registry
 // (/metrics, /healthz, per-job-type latency histograms, queue-depth
-// gauge, shed/retry counters). Jobs over the same guest binary share
+// gauge, shed counter). Every job runs once: its analyses are
+// deterministic, so a failure is reported, not retried. The queue is one
+// FIFO list of pending jobs and campaign shards, whose length is the
+// queue depth. Jobs over the same guest binary share
 // one golden run and one compiled translation pool (emu.TBPool), so a
 // burst of campaign jobs compiles the working set once, not once per
 // job: the golden run of the binary's first campaign publishes the pool
@@ -39,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,11 +49,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve/store"
 	"repro/internal/timing"
+	"repro/internal/vp"
 	"repro/internal/workloads"
 )
 
 // Config parametrizes a server. The zero value is usable: two workers,
-// a 16-deep queue, 60 s job timeout, two retries.
+// a 16-deep queue, 60 s job timeout.
 type Config struct {
 	// Workers is the number of parallel job executors (<=0 means 2).
 	Workers int
@@ -65,12 +69,6 @@ type Config struct {
 	// DefaultBudget is the instruction budget when the request leaves
 	// it zero (default 10M, the s4e-fault default).
 	DefaultBudget uint64
-	// Retries is how many times a transiently failing job is re-run
-	// before it is marked errored (<0 means 0; default 2).
-	Retries int
-	// RetryBackoff is the base delay before the first retry; each
-	// further retry doubles it (default 50 ms).
-	RetryBackoff time.Duration
 	// MaxBodyBytes bounds the request body (default 16 MiB).
 	MaxBodyBytes int64
 	// MaxTerminal bounds how many finished jobs stay in memory (<=0
@@ -105,12 +103,6 @@ func (c *Config) fill() {
 	if c.DefaultBudget == 0 {
 		c.DefaultBudget = 10_000_000
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
@@ -127,27 +119,6 @@ var (
 	ErrDraining = errors.New("serve: server is draining")
 )
 
-// transientError marks an error as worth retrying.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the worker retry loop re-runs the job (with
-// backoff) instead of failing it on first error.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err carries the Transient marker.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
 // Server is the analysis job service. Create with New, expose
 // Handler() over HTTP, stop with Shutdown.
 type Server struct {
@@ -155,12 +126,16 @@ type Server struct {
 	reg   *obs.Registry
 	start time.Time
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string          // submission order, for listing and eviction
-	idem     map[string]string // idempotency key -> job ID
-	queue    chan *Job
-	queued   int // live jobs/shards accepted and not yet picked up by a worker
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string          // submission order, for listing and eviction
+	idem  map[string]string // idempotency key -> job ID
+	// pending is the FIFO of accepted jobs and campaign shards that no
+	// worker has picked up yet; its length is the queue depth. ready
+	// (on mu) is signalled when an item is pushed, a shard finishes or
+	// the server starts draining.
+	pending  []*Job
+	ready    sync.Cond
 	draining bool
 	wg       sync.WaitGroup
 
@@ -175,7 +150,6 @@ type Server struct {
 	mDepthPeak   *obs.Gauge
 	mInflight    *obs.Gauge
 	mShed        *obs.Counter
-	mRetries     *obs.Counter
 	mPanics      *obs.Counter
 	mEvicted     *obs.Counter
 	mIdemHits    *obs.Counter
@@ -185,7 +159,7 @@ type Server struct {
 	mSubscribers *obs.Gauge
 
 	// execOverride replaces the typed executor in tests (panic and
-	// retry-path coverage without constructing pathological guests).
+	// scheduling coverage without constructing pathological guests).
 	execOverride func(ctx context.Context, j *Job) (any, error)
 }
 
@@ -206,18 +180,11 @@ func New(cfg Config) *Server {
 		jobs:  make(map[string]*Job),
 		idem:  make(map[string]string),
 		bins:  make(map[binKey]*list.Element),
-		// The channel is deliberately larger than the logical queue
-		// bound: cancelled-while-queued jobs release their logical slot
-		// immediately but stay in the channel until a worker drains
-		// them, and campaign shards ride the same channel. Submission
-		// capacity is gated on s.queued, not channel occupancy.
-		queue: make(chan *Job, 2*cfg.QueueDepth+16),
 
 		mDepth:       reg.Gauge("s4e_serve_queue_depth", "jobs queued and not yet started"),
 		mDepthPeak:   reg.Gauge("s4e_serve_queue_depth_peak", "highest queue depth observed"),
 		mInflight:    reg.Gauge("s4e_serve_jobs_inflight", "jobs currently executing"),
 		mShed:        reg.Counter("s4e_serve_shed_total", "submissions rejected by the full queue"),
-		mRetries:     reg.Counter("s4e_serve_retries_total", "transient job failures retried"),
 		mPanics:      reg.Counter("s4e_serve_panics_total", "job executions recovered from a panic"),
 		mEvicted:     reg.Counter("s4e_serve_evicted_total", "terminal jobs evicted by the retention policy"),
 		mIdemHits:    reg.Counter("s4e_serve_idempotent_hits_total", "submissions deduplicated by idempotency key"),
@@ -226,6 +193,7 @@ func New(cfg Config) *Server {
 		mJournalErrs: reg.Counter("s4e_serve_journal_errors_total", "journal append failures"),
 		mSubscribers: reg.Gauge("s4e_serve_event_subscribers", "open /events streams"),
 	}
+	s.ready.L = &s.mu
 	reg.Gauge("s4e_serve_workers", "parallel job executors").Set(float64(cfg.Workers))
 	reg.Gauge("s4e_serve_queue_capacity", "bounded queue capacity").Set(float64(cfg.QueueDepth))
 	for i := 0; i < cfg.Workers; i++ {
@@ -331,6 +299,10 @@ func (s *Server) buildJob(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	if prog.Org < vp.RAMBase || uint64(prog.Org-vp.RAMBase)+uint64(len(prog.Bytes)) > vp.DefaultRAMSize {
+		return nil, fmt.Errorf("program image 0x%08x+%d does not fit the platform RAM 0x%08x+%d",
+			prog.Org, len(prog.Bytes), uint32(vp.RAMBase), vp.DefaultRAMSize)
+	}
 	profName := req.Profile
 	if profName == "" {
 		profName = "edge-small"
@@ -423,19 +395,7 @@ func (s *Server) submit(req Request) (Status, bool, error) {
 			return st, false, nil
 		}
 	}
-	// Capacity is the logical queued count, not channel occupancy:
-	// cancelled-while-queued jobs have released their slot even though
-	// their husk still sits in the channel until a worker drains it.
-	if s.queued >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.mShed.Inc()
-		return Status{}, false, ErrQueueFull
-	}
-	select {
-	case s.queue <- j:
-	default:
-		// Physical backstop: the slack is exhausted (a storm of
-		// cancelled husks); shed rather than block under the mutex.
+	if len(s.pending) >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.mShed.Inc()
 		return Status{}, false, ErrQueueFull
@@ -445,8 +405,7 @@ func (s *Server) submit(req Request) (Status, bool, error) {
 	if j.key != "" {
 		s.idem[j.key] = j.ID
 	}
-	s.queued++
-	s.noteDepth()
+	s.pushLocked(j)
 	j.emitLocked("queued", nil)
 	st := j.status()
 	s.mu.Unlock()
@@ -589,9 +548,8 @@ func (s *Server) replayTerminal(id string, sub, term *store.Record) {
 }
 
 // resume re-validates and re-queues one journal job that never reached
-// a terminal state. Resumed jobs bypass the logical queue bound — they
-// were already accepted once — and block until the channel takes them
-// (the workers are live and draining).
+// a terminal state. Resumed jobs bypass the queue bound: they were
+// already accepted once.
 func (s *Server) resume(id string, sub *store.Record) {
 	var req Request
 	var j *Job
@@ -614,10 +572,8 @@ func (s *Server) resume(id string, sub *store.Record) {
 	if j.key != "" {
 		s.idem[j.key] = id
 	}
-	s.queued++
-	s.noteDepth()
+	s.pushLocked(j)
 	s.mu.Unlock()
-	s.queue <- j
 	s.mResumed.Inc()
 }
 
@@ -647,10 +603,18 @@ func (s *Server) resumeFailed(id string, sub *store.Record, err error) {
 	s.mReplayed.Inc()
 }
 
+// pushLocked appends a job or shard to the pending list and wakes one
+// waiting worker; callers hold s.mu.
+func (s *Server) pushLocked(j *Job) {
+	s.pending = append(s.pending, j)
+	s.noteDepth()
+	s.ready.Signal()
+}
+
 // noteDepth refreshes the queue-depth gauge and its peak; callers hold
 // s.mu.
 func (s *Server) noteDepth() {
-	d := float64(s.queued)
+	d := float64(len(s.pending))
 	s.mDepth.Set(d)
 	if d > s.mDepthPeak.Value() {
 		s.mDepthPeak.Set(d)
@@ -690,8 +654,8 @@ func (s *Server) Jobs() []Status {
 	return out
 }
 
-// Cancel aborts a job: a queued job is marked cancelled before it ever
-// runs (releasing its queue slot immediately), a running job has its
+// Cancel aborts a job: a queued job leaves the pending list and is
+// marked cancelled without ever running, a running job has its
 // context cancelled and returns partial work promptly (every analysis
 // entry point is context-threaded). The second return is false when the
 // job is unknown; cancelling a job that already reached a terminal
@@ -706,17 +670,7 @@ func (s *Server) Cancel(id string) (Status, bool) {
 	var rec *store.Record
 	switch j.state {
 	case StateQueued:
-		j.state = StateCancelled
-		j.cancelled = true
-		// The husk stays in the channel until a worker drains it, but
-		// its logical queue slot — capacity, queued counter, depth
-		// gauge — is released now, so live jobs are not shed on the
-		// back of dead ones.
-		j.released = true
-		s.queued--
-		s.noteDepth()
-		s.finishLocked(j)
-		r := terminalRecord(j)
+		r := s.cancelQueuedLocked(j)
 		rec = &r
 	case StateRunning:
 		j.cancelled = true
@@ -732,44 +686,63 @@ func (s *Server) Cancel(id string) (Status, bool) {
 	return st, true
 }
 
-// worker executes queued jobs (and campaign shards) until the queue is
-// closed by Shutdown.
+// cancelQueuedLocked takes a queued job off the pending list and marks
+// it cancelled, returning the terminal record to journal after s.mu is
+// unlocked; callers hold s.mu.
+func (s *Server) cancelQueuedLocked(j *Job) store.Record {
+	s.pending = slices.DeleteFunc(s.pending, func(q *Job) bool { return q == j })
+	s.noteDepth()
+	j.state = StateCancelled
+	j.cancelled = true
+	s.finishLocked(j)
+	return terminalRecord(j)
+}
+
+// worker runs pending jobs and shards until the server drains with
+// nothing left pending.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.dequeued(j)
-		if j.shardRun != nil {
-			j.shardRun()
+	s.serve(func() bool { return s.draining && len(s.pending) == 0 })
+}
+
+// serve pops and runs pending jobs and campaign shards in FIFO order,
+// waiting on s.ready while the list is empty, until done reports true.
+// done is evaluated with s.mu held. Workers call it for their lifetime;
+// a sharded campaign's coordinator calls it until its last shard
+// finishes, so a campaign completes even with one worker.
+func (s *Server) serve(done func() bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !done() {
+		if len(s.pending) == 0 {
+			s.ready.Wait()
 			continue
 		}
-		s.runJob(j)
-	}
-}
-
-// dequeued settles queue accounting for one popped item: jobs cancelled
-// while queued already released their slot, everything else releases it
-// now.
-func (s *Server) dequeued(j *Job) {
-	s.mu.Lock()
-	if j.released {
-		j.released = false
-	} else {
-		s.queued--
+		j := s.pending[0]
+		s.pending[0] = nil
+		s.pending = s.pending[1:]
 		s.noteDepth()
+		s.mu.Unlock()
+		if j.shardRun != nil {
+			j.shardRun()
+		} else {
+			s.runJob(j)
+		}
+		s.mu.Lock()
 	}
-	s.mu.Unlock()
 }
 
-// runJob drives one job through execution, retry, and state
+// runJob drives one popped job through execution and its state
 // transitions.
 func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
+	if j.state != StateQueued { // cancelled between its pop and here
 		s.mu.Unlock()
 		return
 	}
 	j.state = StateRunning
 	j.started = time.Now()
+	j.attempts = 1
 	ctx, cancel := context.WithTimeout(context.Background(), j.timeout)
 	j.cancel = cancel
 	j.emitLocked("running", nil)
@@ -779,30 +752,7 @@ func (s *Server) runJob(j *Job) {
 	s.mInflight.Add(1)
 	defer s.mInflight.Add(-1)
 
-	var result any
-	var err error
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		j.attempts = attempt + 1
-		s.mu.Unlock()
-		result, err = s.execute(ctx, j)
-		if err == nil || ctx.Err() != nil || !IsTransient(err) || attempt >= s.cfg.Retries {
-			break
-		}
-		s.mRetries.Inc()
-		backoff := s.cfg.RetryBackoff << attempt
-		select {
-		case <-ctx.Done():
-		case <-time.After(backoff):
-		}
-		// The job context may have expired during the backoff sleep; a
-		// further attempt on the dead context would be wasted work, would
-		// inflate the attempt count, and would replace the original
-		// transient error with the context error in the reported status.
-		if ctx.Err() != nil {
-			break
-		}
-	}
+	result, err := s.execute(ctx, j)
 
 	s.mu.Lock()
 	j.cancel = nil
@@ -909,7 +859,7 @@ func (s *Server) jobSeconds(typ string) *obs.Histogram {
 		"job execution latency by type", jobSecondsBounds)
 }
 
-// execute runs one attempt of a job with panic isolation: a panicking
+// execute runs a job with panic isolation: a panicking
 // analysis marks the job errored (carrying the stack) without taking
 // down the worker or the process.
 func (s *Server) execute(ctx context.Context, j *Job) (result any, err error) {
@@ -943,15 +893,13 @@ func (s *Server) execute(ctx context.Context, j *Job) (result any, err error) {
 
 // Shutdown drains the server: no new submissions are accepted, queued
 // and in-flight jobs run to completion, then the workers exit. If ctx
-// expires first, every running job's context is cancelled (they return
-// promptly with partial state) and Shutdown reports ctx's error after
-// the workers finish.
+// expires first, every queued job is cancelled, every running job's
+// context is cancelled (they return promptly with partial state) and
+// Shutdown reports ctx's error after the workers finish.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
+	s.ready.Broadcast()
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -967,13 +915,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		var recs []store.Record
 		for _, j := range s.jobs {
 			if j.state == StateQueued {
-				j.state = StateCancelled
-				j.cancelled = true
-				j.released = true
-				s.queued--
-				s.noteDepth()
-				s.finishLocked(j)
-				recs = append(recs, terminalRecord(j))
+				recs = append(recs, s.cancelQueuedLocked(j))
 			}
 			if j.cancel != nil {
 				j.cancelled = true

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	"repro/internal/elf"
 	"repro/internal/emu"
 	"repro/internal/fault"
 	"repro/internal/flow"
@@ -213,12 +214,20 @@ func cliReference(t *testing.T, source string, budget uint64, spec FaultSpec) *f
 	if err != nil {
 		t.Fatal(err)
 	}
+	return programReference(t, prog, budget, spec)
+}
+
+// programReference runs the default-plan campaign over an already
+// assembled program, its code and data ranges spanning the image
+// wherever it sits in RAM.
+func programReference(t *testing.T, prog *asm.Program, budget uint64, spec FaultSpec) *fault.Results {
+	t.Helper()
 	tg := &fault.Target{Program: prog, Budget: budget}
 	g, err := fault.RunGolden(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := vp.RAMBase + uint32(len(prog.Bytes))
+	end := prog.Org + uint32(len(prog.Bytes))
 	plan := fault.NewPlan(fault.PlanConfig{
 		Seed:         spec.Seed,
 		GPRTransient: spec.GPRTransient,
@@ -226,8 +235,8 @@ func cliReference(t *testing.T, source string, budget uint64, spec FaultSpec) *f
 		MemPermanent: spec.MemPermanent,
 		CodeBitflip:  spec.CodeBitflip,
 		GoldenInsts:  g.Insts,
-		CodeStart:    vp.RAMBase, CodeEnd: end,
-		DataStart: vp.RAMBase, DataEnd: end,
+		CodeStart:    prog.Org, CodeEnd: end,
+		DataStart: prog.Org, DataEnd: end,
 	})
 	res, err := fault.CampaignOpt(tg, plan, fault.Options{Workers: 2})
 	if err != nil {
@@ -240,7 +249,7 @@ func cliReference(t *testing.T, source string, budget uint64, spec FaultSpec) *f
 // concurrent campaign jobs over the same uploaded program must each be
 // classification-identical, mutant by mutant, to the one-shot CLI
 // campaign with the same plan parameters — shared golden, shared
-// translation pool, retries and queueing notwithstanding.
+// translation pool and queueing notwithstanding.
 func TestFaultServiceMatchesCLI(t *testing.T) {
 	w, _ := workloads.ByName("xtea")
 	spec := FaultSpec{Seed: 7, GPRTransient: 30, GPRPermanent: 10, MemPermanent: 15, CodeBitflip: 15}
@@ -374,6 +383,83 @@ hi:
 	_, res, _ := s.Result(st.ID)
 	if fr := res.(FaultResult); fr.PoolShared {
 		t.Errorf("pool_shared = true for an empty pool (golden %s)", fr.GoldenStop)
+	}
+
+	// A run job over the binary finds the same empty pool: a miss.
+	hits := s.reg.Counter(`s4e_serve_pool_jobs_total{cache="hit"}`, "")
+	misses := s.reg.Counter(`s4e_serve_pool_jobs_total{cache="miss"}`, "")
+	h0, m0 := hits.Value(), misses.Value()
+	if st, err = s.Submit(Request{Type: "run", Source: selfWrite}); err != nil {
+		t.Fatal(err)
+	}
+	if st = wait(t, s, st.ID); st.State != StateDone {
+		t.Fatalf("run job state %s (err %q)", st.State, st.Error)
+	}
+	if hits.Value() != h0 || misses.Value() != m0+1 {
+		t.Errorf("run job over an empty pool: hits %v -> %v, misses %v -> %v; want a miss",
+			h0, hits.Value(), m0, misses.Value())
+	}
+}
+
+// TestFaultJobOffBaseELF: an ELF image that does not start at the RAM
+// base gets a default plan over its own bytes and a platform RAM that
+// reaches its end, so the service campaign matches the campaign over
+// the same program, mutant by mutant.
+func TestFaultJobOffBaseELF(t *testing.T) {
+	w, _ := workloads.ByName("crc32")
+	spec := FaultSpec{Seed: 5, MemPermanent: 50, CodeBitflip: 200}
+	s := newServer(t, Config{Workers: 1})
+	for _, off := range []uint32{0x1000, 2 << 20} {
+		t.Run(fmt.Sprintf("offset_0x%x", off), func(t *testing.T) {
+			prog, err := asm.AssembleAt(vp.Prelude+w.Source, vp.RAMBase+off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := programReference(t, prog, w.Budget, spec)
+			if ref.ByOutcome[fault.Masked] == ref.Total {
+				t.Fatal("reference campaign masked every mutant")
+			}
+			data := elf.Write(&elf.Image{Entry: prog.Entry,
+				Segments: []elf.Segment{{Addr: prog.Org, Data: prog.Bytes}}, Symbols: prog.Symbols})
+			st, err := s.Submit(Request{Type: "fault", ELF: data, Budget: w.Budget, Fault: &spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = wait(t, s, st.ID); st.State != StateDone {
+				t.Fatalf("state %s (err %q)", st.State, st.Error)
+			}
+			_, res, _ := s.Result(st.ID)
+			fr := res.(FaultResult)
+			if fr.Errors != "" || fr.Total != ref.Total {
+				t.Fatalf("total %d (errors %q), want %d", fr.Total, fr.Errors, ref.Total)
+			}
+			for k, o := range ref.Details {
+				if fr.Details[k] != o.String() {
+					t.Fatalf("mutant %d classified %s, want %s", k, fr.Details[k], o)
+				}
+			}
+		})
+	}
+}
+
+// TestELFOutsideRAMRejected: an image the platform RAM cannot hold is a
+// submission error (HTTP 400), not a job that fails when it runs.
+func TestELFOutsideRAMRejected(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	for _, seg := range []elf.Segment{
+		{Addr: 0x1000, Data: []byte{0x13, 0, 0, 0}},
+		{Addr: vp.RAMBase + vp.DefaultRAMSize - 2, Data: []byte{0x13, 0, 0, 0}},
+	} {
+		data := elf.Write(&elf.Image{Entry: seg.Addr, Segments: []elf.Segment{seg}})
+		for _, typ := range []string{"run", "qta", "fault"} {
+			req := Request{Type: typ, ELF: data}
+			if typ == "fault" {
+				req.Fault = &FaultSpec{GPRTransient: 1}
+			}
+			if _, err := s.Submit(req); err == nil || !strings.Contains(err.Error(), "does not fit") {
+				t.Errorf("%s job over an image at 0x%x: err %v, want a RAM-fit rejection", typ, seg.Addr, err)
+			}
+		}
 	}
 }
 
@@ -523,31 +609,8 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-func TestRetryTransient(t *testing.T) {
-	s := newServer(t, Config{Workers: 1, Retries: 2, RetryBackoff: time.Millisecond})
-	var calls int
-	s.execOverride = func(ctx context.Context, j *Job) (any, error) {
-		calls++
-		if calls < 3 {
-			return nil, Transient(fmt.Errorf("flaky dependency"))
-		}
-		return "recovered", nil
-	}
-	st, err := s.Submit(Request{Type: "run", Source: src(t, "xtea")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = wait(t, s, st.ID)
-	if st.State != StateDone || st.Attempts != 3 {
-		t.Fatalf("state %s attempts %d, want done after 3 attempts", st.State, st.Attempts)
-	}
-	if s.mRetries.Value() != 2 {
-		t.Errorf("retry counter %v, want 2", s.mRetries.Value())
-	}
-}
-
 func TestPermanentErrorDoesNotRetry(t *testing.T) {
-	s := newServer(t, Config{Workers: 1, Retries: 3, RetryBackoff: time.Millisecond})
+	s := newServer(t, Config{Workers: 1})
 	var calls int
 	s.execOverride = func(ctx context.Context, j *Job) (any, error) {
 		calls++

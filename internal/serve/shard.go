@@ -73,36 +73,31 @@ func (s *Server) noteShard(j *Job, i int, state string, done uint64) {
 }
 
 // runShardedCampaign executes a fault campaign as k contiguous
-// plan-range sub-jobs riding the server's shared worker queue, then
-// merges the per-range results with fault.MergeShards — bit-identical
-// to the unsharded campaign, since mutants are classified independently
+// plan-range sub-jobs on the server's pending list, then merges the
+// per-range results with fault.MergeShards — bit-identical to the
+// unsharded campaign, since mutants are classified independently
 // against the shared golden. The coordinating worker never parks idle:
-// shards that do not fit the queue run inline, and while waiting it
-// helps drain the queue (its own shards, other campaigns' shards, or
-// whole jobs), so coordinators can never deadlock the pool no matter
-// how many campaigns shard at once.
+// until its last shard finishes it keeps popping the list in FIFO order
+// (its own shards, other campaigns' shards, or whole jobs), so
+// coordinators cannot deadlock the pool however many campaigns shard at
+// once.
 func (s *Server) runShardedCampaign(ctx context.Context, j *Job, tg *fault.Target, plan fault.Plan, o fault.Options, k int) (*fault.Results, error) {
 	ranges := shardRanges(len(plan.Faults), k)
-
-	s.mu.Lock()
-	prog := &Progress{Total: uint64(len(plan.Faults)), Shards: make([]ShardProgress, k)}
-	for i, r := range ranges {
-		prog.Shards[i] = ShardProgress{Shard: i, Lo: r[0], Hi: r[1], State: "queued"}
-	}
-	j.progress = prog
-	j.emitLocked("progress", prog.clone())
-	s.mu.Unlock()
-
 	parts := make([]*fault.Results, k)
 	errs := make([]error, k)
 	offsets := make([]int, k)
-	done := make(chan int, k)
+	remaining := k // guarded by s.mu
 
 	mkRun := func(i int) func() {
 		lo, hi := ranges[i][0], ranges[i][1]
 		offsets[i] = lo
 		return func() {
-			defer func() { done <- i }()
+			defer func() {
+				s.mu.Lock()
+				remaining--
+				s.ready.Broadcast() // wake the coordinator
+				s.mu.Unlock()
+			}()
 			defer func() {
 				if r := recover(); r != nil {
 					s.mPanics.Inc()
@@ -117,58 +112,18 @@ func (s *Server) runShardedCampaign(ctx context.Context, j *Job, tg *fault.Targe
 		}
 	}
 
-	// Enqueue each shard on the shared worker queue; shards that do not
-	// fit (channel full, server draining) are kept for inline execution
-	// by this worker rather than blocking or shedding.
-	var inline []func()
-	for i := 0; i < k; i++ {
-		run := mkRun(i)
-		sj := &Job{ID: fmt.Sprintf("%s.shard%d", j.ID, i), Type: "fault-shard", shardRun: run}
-		s.mu.Lock()
-		enqueued := false
-		if !s.draining {
-			select {
-			case s.queue <- sj:
-				s.queued++
-				s.noteDepth()
-				enqueued = true
-			default:
-			}
-		}
-		s.mu.Unlock()
-		if !enqueued {
-			inline = append(inline, run)
-		}
+	s.mu.Lock()
+	prog := &Progress{Total: uint64(len(plan.Faults)), Shards: make([]ShardProgress, k)}
+	for i, r := range ranges {
+		prog.Shards[i] = ShardProgress{Shard: i, Lo: r[0], Hi: r[1], State: "queued"}
+		s.pushLocked(&Job{ID: fmt.Sprintf("%s.shard%d", j.ID, i), Type: "fault-shard", shardRun: mkRun(i)})
 	}
+	j.progress = prog
+	j.emitLocked("progress", prog.clone())
+	s.mu.Unlock()
 	s.reg.Counter("s4e_serve_shards_total", "campaign shards executed").Add(uint64(k))
-	if len(inline) > 0 {
-		s.reg.Counter("s4e_serve_shards_inline_total",
-			"shards executed inline by the coordinating worker").Add(uint64(len(inline)))
-	}
-	for _, run := range inline {
-		run()
-	}
 
-	// Help loop: drain completions and, while shards are outstanding,
-	// keep working the shared queue.
-	queue := s.queue
-	for remaining := k; remaining > 0; {
-		select {
-		case <-done:
-			remaining--
-		case other, ok := <-queue:
-			if !ok {
-				queue = nil // draining: queue closed and empty
-				continue
-			}
-			s.dequeued(other)
-			if other.shardRun != nil {
-				other.shardRun()
-			} else {
-				s.runJob(other)
-			}
-		}
-	}
+	s.serve(func() bool { return remaining == 0 })
 
 	merged, err := fault.MergeShards(plan, offsets, parts)
 	if err != nil {

@@ -174,29 +174,31 @@ func (p *Platform) LoadProgram(prog *asm.Program) error {
 
 // maxELFImage bounds the flattened address span of an ELF executable, so
 // a hostile segment layout cannot make the loader allocate gigabytes; no
-// span above it fits the platform's RAM anyway.
+// span above it fits the platform's RAM anyway. The span is checked from
+// the segments' memory sizes before anything is allocated.
 const maxELFImage = 32 << 20
 
 // ProgramFromELF flattens an ELF32 executable into the asm.Program shape
 // (origin, contiguous bytes, entry, symbols) that LoadProgram and every
-// analysis consume, zero-filling the gaps between segments.
+// analysis consume, zero-filling the gaps between segments and every
+// segment's bss tail.
 func ProgramFromELF(data []byte) (*asm.Program, error) {
 	img, err := elf.Read(data)
 	if err != nil {
 		return nil, err
 	}
-	// Segment ends are computed in uint64: seg.Addr+len(seg.Data) wraps
+	// Segment ends are computed in uint64: seg.Addr+seg.MemSize wraps
 	// uint32 for segments reaching the top of the address space, which
 	// would bypass the span check below and panic in the copy. An empty
 	// segment places no byte, so it does not widen the span.
 	lo, hi := uint64(^uint32(0)), uint64(0)
 	for _, seg := range img.Segments {
-		end := uint64(seg.Addr) + uint64(len(seg.Data))
+		end := uint64(seg.Addr) + uint64(seg.MemSize)
 		if end > 1<<32 {
 			return nil, fmt.Errorf("elf segment at 0x%08x overflows the 32-bit address space (%d bytes)",
-				seg.Addr, len(seg.Data))
+				seg.Addr, seg.MemSize)
 		}
-		if len(seg.Data) > 0 {
+		if seg.MemSize > 0 {
 			lo, hi = min(lo, uint64(seg.Addr)), max(hi, end)
 		}
 	}

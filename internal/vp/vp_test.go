@@ -2,6 +2,8 @@ package vp_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -182,6 +184,41 @@ func TestProgramFromELFOverflow(t *testing.T) {
 		if p != nil {
 			t.Errorf("%s: got a program alongside the error", c.name)
 		}
+	}
+}
+
+// TestProgramFromELFChecksMemSizeFirst: a 338-byte ELF whose one
+// segment claims a 64 MiB memory size is rejected by the span cap
+// before any of that memory is allocated, and a bss tail within the cap
+// is zero-filled behind the file bytes.
+func TestProgramFromELFChecksMemSizeFirst(t *testing.T) {
+	// withMemSize writes a one-segment ELF and patches its p_memsz.
+	withMemSize := func(data []byte, memsz uint32) []byte {
+		b := elf.Write(&elf.Image{Entry: vp.RAMBase, Segments: []elf.Segment{{Addr: vp.RAMBase, Data: data}}})
+		binary.LittleEndian.PutUint32(b[52+20:], memsz)
+		return b
+	}
+	huge := withMemSize([]byte{1, 2, 3, 4}, 64<<20)
+	if len(huge) != 338 {
+		t.Fatalf("hostile ELF is %d bytes, want 338", len(huge))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := vp.ProgramFromELF(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("err %v, want span-cap rejection", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("rejecting the ELF allocated %d bytes, want under 1 MiB", n)
+	}
+
+	prog, err := vp.ProgramFromELF(withMemSize([]byte{1, 2}, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prog.Bytes, []byte{1, 2, 0, 0, 0, 0, 0, 0}) {
+		t.Errorf("bss segment flattened to % x", prog.Bytes)
 	}
 }
 
