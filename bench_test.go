@@ -150,7 +150,8 @@ func faultTarget(b *testing.B, name string) (*fault.Target, *fault.Golden) {
 }
 
 // BenchmarkE5_Fault regenerates the outcome classification per fault
-// model and reports the masked/SDC fractions.
+// model and reports the masked/SDC fractions and the campaign rate
+// (golden run included, as in every campaign without a passed golden).
 func BenchmarkE5_Fault(b *testing.B) {
 	tg, g := faultTarget(b, "crc32")
 	end := vp.RAMBase + uint32(len(tg.Program.Bytes))
@@ -159,6 +160,7 @@ func BenchmarkE5_Fault(b *testing.B) {
 		cfg  fault.PlanConfig
 	}{
 		{"gpr-transient", fault.PlanConfig{Seed: 9, GPRTransient: 100, GoldenInsts: g.Insts}},
+		{"gpr-permanent", fault.PlanConfig{Seed: 9, GPRPermanent: 100}},
 		{"mem-permanent", fault.PlanConfig{Seed: 9, MemPermanent: 100,
 			DataStart: vp.RAMBase, DataEnd: end}},
 		{"code-bitflip", fault.PlanConfig{Seed: 9, CodeBitflip: 100,
@@ -177,6 +179,7 @@ func BenchmarkE5_Fault(b *testing.B) {
 			b.ReportMetric(100*float64(res.ByOutcome[fault.Masked])/float64(res.Total), "masked-%")
 			b.ReportMetric(100*float64(res.ByOutcome[fault.SDC])/float64(res.Total), "sdc-%")
 			b.ReportMetric(100*float64(res.ByOutcome[fault.Trapped])/float64(res.Total), "trapped-%")
+			b.ReportMetric(float64(res.Total)*float64(b.N)/b.Elapsed().Seconds(), "mutants/sec")
 		})
 	}
 }

@@ -119,17 +119,16 @@ func main() {
 
 	// One golden run per campaign: Prepare's, whose translation pool the
 	// workers warm-start from, or a plain one when the pool is off. The
-	// guided plan runs its own golden under the coverage plugin, and the
-	// campaign then prepares the pool itself.
+	// guided plan's golden is Prepare's under the coverage plugin; with
+	// the pool off, the campaign drops its pool.
 	opts := fault.Options{Workers: *workers, NoSharedPool: !*pool}
 	var plan fault.Plan
-	var g *fault.Golden
 	if *guided && *isr == "" {
-		cfg, golden, err := fault.GuidedPlanConfig(tg, *seed, *gpr)
+		var cfg fault.PlanConfig
+		cfg, opts.Golden, opts.Pool, err = fault.GuidedPlanConfig(tg, *seed, *gpr)
 		if err != nil {
 			fatal(err)
 		}
-		g = golden
 		fmt.Printf("guided plan: %d used registers, code 0x%08x..0x%08x\n",
 			len(cfg.UsedRegs), cfg.CodeStart, cfg.CodeEnd)
 		plan = fault.NewPlan(cfg)
@@ -142,7 +141,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		g = opts.Golden
 		if *isr != "" {
 			plan, err = fault.NewISRPlan(prog, *isr, fault.ISRPlanConfig{
 				Seed:         *seed,
@@ -150,7 +148,7 @@ func main() {
 				GPRPermanent: *gprPerm,
 				MemPermanent: *mem,
 				CodeBitflip:  *code,
-				GoldenInsts:  g.Insts,
+				GoldenInsts:  opts.Golden.Insts,
 				StackTop:     tg.StackTop(),
 			})
 			if err != nil {
@@ -167,7 +165,7 @@ func main() {
 				GPRPermanent: *gprPerm,
 				MemPermanent: *mem,
 				CodeBitflip:  *code,
-				GoldenInsts:  g.Insts,
+				GoldenInsts:  opts.Golden.Insts,
 				CodeStart:    vp.RAMBase,
 				CodeEnd:      end,
 				DataStart:    vp.RAMBase,
@@ -175,7 +173,7 @@ func main() {
 			})
 		}
 	}
-	fmt.Printf("golden: %v, %d instructions\n", g.Stop, g.Insts)
+	fmt.Printf("golden: %v, %d instructions\n", opts.Golden.Stop, opts.Golden.Insts)
 
 	if *metricsPath != "" {
 		opts.Metrics = obs.NewRegistry()

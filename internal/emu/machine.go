@@ -1227,8 +1227,10 @@ func (m *Machine) interpBlock(t *tb, budget uint64, left *uint64) {
 	}
 }
 
-// Step executes exactly one instruction (no block caching); the fault
-// injector and debugger use it for precise control.
+// Step executes exactly one instruction (no block caching), polling for
+// interrupts before it. It is the reference the engines are tested
+// against and the stepper of the lockstep example; no tool or fault
+// campaign drives a run with it (every mutant runs under Run).
 func (m *Machine) Step() *StopInfo {
 	if m.stop != nil {
 		return m.stop

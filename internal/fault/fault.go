@@ -19,9 +19,11 @@ import (
 	"time"
 
 	"repro/internal/asm"
+	"repro/internal/decode"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/plugin"
 	"repro/internal/timing"
 	"repro/internal/vp"
 )
@@ -34,8 +36,9 @@ const (
 	// number of retired instructions (an SEU in the register file).
 	GPRTransient Model = iota
 	// GPRPermanent forces one bit of one register to a stuck value for
-	// the whole run (a defective register-file cell). Simulated by
-	// re-applying the stuck value before every instruction.
+	// the whole run (a defective register-file cell). The mutant runs
+	// under Run like every other one, with an instruction hook that
+	// re-applies the stuck value before every instruction.
 	GPRPermanent
 	// MemPermanent flips one bit in RAM before execution (a stuck cell
 	// in the data section).
@@ -222,6 +225,32 @@ type injector struct {
 	// lat observes interrupt-service latency when the target sets a
 	// LatencyBudget; nil otherwise (no hook overhead).
 	lat *latencyWatcher
+
+	// hooks is the machine's base plugin set (the latency watcher, if
+	// any); stuckHooks adds the stuck-bit hook and is installed only
+	// while a GPRPermanent mutant runs, since an instruction hook keeps
+	// every block on the interpreter.
+	hooks, stuckHooks plugin.Hooks
+	stuck             stuckBit
+}
+
+// stuckBit is the instruction hook of a GPRPermanent mutant: it forces
+// the stuck bit before every instruction, so every read sees it.
+type stuckBit struct {
+	x *[32]uint32
+	f Fault
+}
+
+func (s *stuckBit) Name() string { return "fault-stuck-bit" }
+
+func (s *stuckBit) OnInsnExec(uint32, decode.Inst) {
+	switch {
+	case s.f.Reg == 0: // x0 is hardwired; the stuck bit is absorbed
+	case s.f.Stuck1:
+		s.x[s.f.Reg] |= 1 << s.f.Bit
+	default:
+		s.x[s.f.Reg] &^= 1 << s.f.Bit
+	}
 }
 
 // newInjector builds a worker injector; pool, when non-nil, is the
@@ -240,6 +269,12 @@ func newInjector(t *Target, pool *emu.TBPool) (*injector, error) {
 			return nil, err
 		}
 	}
+	inj.hooks = p.Machine.Hooks
+	inj.stuckHooks = p.Machine.Hooks
+	inj.stuck.x = &p.Machine.Hart.X
+	if err := inj.stuckHooks.Register(&inj.stuck); err != nil {
+		return nil, err
+	}
 	return inj, nil
 }
 
@@ -247,17 +282,8 @@ func newInjector(t *Target, pool *emu.TBPool) (*injector, error) {
 func (inj *injector) reset() {
 	inj.p.RestoreReuse(inj.base, inj.t.Program)
 	if inj.lat != nil {
-		inj.lat.reset()
+		inj.lat.worst = 0
 	}
-}
-
-// finish folds the observed interrupt latency into a mutant's
-// value-based classification.
-func (inj *injector) finish(out Outcome) Outcome {
-	if inj.lat == nil {
-		return out
-	}
-	return latencyOutcome(out, inj.lat.Worst(), inj.t.LatencyBudget)
 }
 
 // RunGolden executes the fault-free program and records its behaviour.
@@ -270,13 +296,20 @@ func RunGolden(t *Target) (*Golden, error) {
 	return g, nil
 }
 
-// runGolden is RunGolden keeping the platform alive, so Prepare can
-// freeze the golden run's compiled translation state into a shared pool;
-// the caller releases the platform.
-func runGolden(t *Target) (*Golden, *vp.Platform, error) {
+// runGolden is RunGolden with observers registered on the golden
+// platform, keeping the platform alive so prepare can freeze its
+// compiled translation state into a shared pool; the caller releases
+// the platform.
+func runGolden(t *Target, observers ...plugin.Plugin) (*Golden, *vp.Platform, error) {
 	p, err := t.newPlatform()
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, o := range observers {
+		if err := p.Machine.Hooks.Register(o); err != nil {
+			p.Release()
+			return nil, nil, err
+		}
 	}
 	stop := p.Run(t.Budget)
 	if stop.Reason != emu.StopExit && stop.Reason != emu.StopEbreak {
@@ -296,12 +329,32 @@ func Inject(t *Target, g *Golden, f Fault) (Outcome, error) {
 	return inj.run(g, f)
 }
 
-// run executes one mutant on the injector's recycled platform.
+// run executes one mutant on the injector's recycled platform. Every
+// model ends in Run; only a stuck-at mutant runs with an instruction hook.
 func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 	t := inj.t
 	p := inj.p
 	inj.reset()
+	var stop emu.StopInfo
 	switch f.Model {
+	case GPRTransient:
+		if stop = p.Run(f.Trigger); stop.Reason != emu.StopBudget {
+			break // finished before the trigger: the flip never landed
+		}
+		p.Machine.Hart.X[f.Reg] ^= 1 << f.Bit
+		if f.Reg == 0 {
+			p.Machine.Hart.X[0] = 0 // x0 is hardwired; flip is absorbed
+		}
+		remaining := uint64(1)
+		if t.Budget > f.Trigger {
+			remaining = t.Budget - f.Trigger
+		}
+		stop = p.Run(remaining)
+	case GPRPermanent:
+		inj.stuck.f = f
+		p.Machine.Hooks = inj.stuckHooks
+		stop = p.Run(t.Budget)
+		p.Machine.Hooks = inj.hooks
 	case MemPermanent, CodeBitflip:
 		// The flip is a host write through the bus, which hands it to
 		// the next rewind and drops the translations over the byte.
@@ -314,30 +367,9 @@ func (inj *injector) run(g *Golden, f Fault) (Outcome, error) {
 		if err := p.Machine.Bus.WriteBytes(addr, b[:]); err != nil {
 			return 0, err
 		}
-	}
-
-	if f.Model == GPRPermanent {
-		return inj.classify(g, injectStuck(t, f, p)), nil
-	}
-
-	var stop emu.StopInfo
-	if f.Model == GPRTransient {
-		stop = p.Run(f.Trigger)
-		if stop.Reason == emu.StopBudget {
-			p.Machine.Hart.X[f.Reg] ^= 1 << f.Bit
-			if f.Reg == 0 {
-				p.Machine.Hart.X[0] = 0 // x0 is hardwired; flip is absorbed
-			}
-			remaining := uint64(1)
-			if t.Budget > f.Trigger {
-				remaining = t.Budget - f.Trigger
-			}
-			stop = p.Run(remaining)
-		}
-		// Otherwise the program finished before the trigger: the flip
-		// never landed and the run is the golden one.
-	} else {
 		stop = p.Run(t.Budget)
+	default:
+		return 0, fmt.Errorf("fault: unknown model %v", f.Model)
 	}
 	return inj.classify(g, stop), nil
 }
@@ -354,33 +386,16 @@ func (inj *injector) classify(g *Golden, stop emu.StopInfo) Outcome {
 		if stop.Reason != g.Stop.Reason {
 			return Trapped
 		}
+		out := SDC
 		if stop.Code == g.Stop.Code && inj.p.Output() == g.Output {
-			return inj.finish(Masked)
+			out = Masked
 		}
-		return inj.finish(SDC)
+		if inj.lat == nil {
+			return out
+		}
+		return latencyOutcome(out, inj.lat.worst, inj.t.LatencyBudget)
 	}
 	return Trapped
-}
-
-// injectStuck simulates a stuck register-file bit by re-applying the
-// stuck value before every instruction (single-step execution, so the
-// classification is exact at the cost of translation-cache speed). A
-// run that exhausts the budget stops with StopBudget.
-func injectStuck(t *Target, f Fault, p *vp.Platform) emu.StopInfo {
-	h := &p.Machine.Hart
-	for steps := uint64(0); steps < t.Budget; steps++ {
-		if f.Reg != 0 {
-			if f.Stuck1 {
-				h.X[f.Reg] |= 1 << f.Bit
-			} else {
-				h.X[f.Reg] &^= 1 << f.Bit
-			}
-		}
-		if stop := p.Machine.Step(); stop != nil {
-			return *stop
-		}
-	}
-	return emu.StopInfo{Reason: emu.StopBudget, PC: h.PC}
 }
 
 // Plan is a generated fault list.
@@ -492,12 +507,8 @@ func MergeShards(plan Plan, offsets []int, parts []*Results) (*Results, error) {
 	if len(offsets) != len(parts) {
 		return nil, fmt.Errorf("fault: %d offsets for %d shard results", len(offsets), len(parts))
 	}
-	res := &Results{
-		Total:     len(plan.Faults),
-		ByOutcome: make(map[Outcome]int),
-		ByModel:   make(map[Model]map[Outcome]int),
-		Details:   make([]Outcome, len(plan.Faults)),
-	}
+	details := make([]Outcome, len(plan.Faults))
+	var dur time.Duration
 	next := 0
 	for i, part := range parts {
 		if part == nil {
@@ -510,24 +521,35 @@ func MergeShards(plan Plan, offsets []int, parts []*Results) (*Results, error) {
 			return nil, fmt.Errorf("fault: shard %d range [%d,%d) exceeds plan size %d",
 				i, offsets[i], offsets[i]+part.Total, len(plan.Faults))
 		}
-		copy(res.Details[offsets[i]:], part.Details)
+		copy(details[offsets[i]:], part.Details)
 		next = offsets[i] + part.Total
-		if part.Duration > res.Duration {
-			res.Duration = part.Duration
-		}
+		dur = max(dur, part.Duration)
 	}
 	if next != len(plan.Faults) {
 		return nil, fmt.Errorf("fault: shards cover %d of %d mutants", next, len(plan.Faults))
 	}
-	for i, out := range res.Details {
-		res.ByOutcome[out]++
-		m := plan.Faults[i].Model
-		if res.ByModel[m] == nil {
-			res.ByModel[m] = make(map[Outcome]int)
-		}
-		res.ByModel[m][out]++
+	return tally(plan, details, dur), nil
+}
+
+// tally builds the Results of a campaign over plan from its per-mutant
+// outcomes, in plan order.
+func tally(plan Plan, details []Outcome, dur time.Duration) *Results {
+	r := &Results{
+		Total:     len(details),
+		ByOutcome: make(map[Outcome]int),
+		ByModel:   make(map[Model]map[Outcome]int),
+		Details:   details,
+		Duration:  dur,
 	}
-	return res, nil
+	for i, out := range details {
+		r.ByOutcome[out]++
+		m := plan.Faults[i].Model
+		if r.ByModel[m] == nil {
+			r.ByModel[m] = make(map[Outcome]int)
+		}
+		r.ByModel[m][out]++
+	}
+	return r
 }
 
 // Results aggregates a campaign.
@@ -594,11 +616,18 @@ type Options struct {
 // translation state into a shareable pool, so many campaigns over the
 // same target can reuse both via Options.Golden/Options.Pool. It is the
 // one builder of a pool from a golden run: CampaignContext calls it when
-// no golden is passed, and the analysis service caches its result per
-// binary. A golden run that wrote into its own code still yields a pool;
+// no golden is passed, GuidedPlanConfig runs its instrumented golden
+// through it, and the analysis service caches its result per binary. A
+// golden run that wrote into its own code still yields a pool;
 // Machine.BuildTBPool leaves out the translations over written pages.
 func Prepare(t *Target) (*Golden, *emu.TBPool, error) {
-	g, gp, err := runGolden(t)
+	return prepare(t)
+}
+
+// prepare is Prepare with observers registered on the golden run (the
+// guided plan's coverage and extent plugins).
+func prepare(t *Target, observers ...plugin.Plugin) (*Golden, *emu.TBPool, error) {
+	g, gp, err := runGolden(t, observers...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -645,10 +674,7 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 			return nil, err
 		}
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	workers := max(o.Workers, 1)
 	if o.NoSharedPool {
 		pool = nil
 	}
@@ -656,17 +682,13 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 		o.Metrics.Gauge("s4e_fault_pool_blocks", "shared translation-pool blocks").
 			Set(float64(pool.Size()))
 	}
-	res := &Results{
-		Total:     len(plan.Faults),
-		ByOutcome: make(map[Outcome]int),
-		ByModel:   make(map[Model]map[Outcome]int),
-		Details:   make([]Outcome, len(plan.Faults)),
-	}
 	// Pre-fill with Errored: Masked is the zero value, so a slot no
 	// worker ever reaches (all injector constructions failing, say) must
 	// not silently read as a benign outcome.
-	for i := range res.Details {
-		res.Details[i] = Errored
+	total := uint64(len(plan.Faults))
+	details := make([]Outcome, total)
+	for i := range details {
+		details[i] = Errored
 	}
 
 	var (
@@ -707,10 +729,10 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 					return
 				case <-tick.C:
 					if o.Progress != nil {
-						writeProgress(o.Progress, done.Load(), uint64(res.Total), &counts, time.Since(start))
+						writeProgress(o.Progress, done.Load(), total, &counts, time.Since(start))
 					}
 					if o.OnProgress != nil {
-						o.OnProgress(done.Load(), uint64(res.Total))
+						o.OnProgress(done.Load(), total)
 					}
 				}
 			}
@@ -752,7 +774,7 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 					errs = append(errs, fmt.Errorf("mutant %d (%v): %w", i, plan.Faults[i], err))
 					mu.Unlock()
 				}
-				res.Details[i] = out
+				details[i] = out
 				counts[out].Add(1)
 				done.Add(1)
 				mDone.Inc()
@@ -767,37 +789,28 @@ func CampaignContext(ctx context.Context, t *Target, plan Plan, o Options) (*Res
 	wg.Wait()
 	close(stopProgress)
 	progressWG.Wait()
-	res.Duration = time.Since(start)
+	dur := time.Since(start)
 
-	if secs := res.Duration.Seconds(); secs > 0 {
+	if secs := dur.Seconds(); secs > 0 {
 		o.Metrics.Gauge("s4e_fault_mutants_per_sec", "campaign throughput").
 			Set(float64(done.Load()) / secs)
 		o.Metrics.Gauge("s4e_fault_campaign_seconds", "campaign wall-clock duration").Set(secs)
 	}
 	if o.Progress != nil {
-		writeProgress(o.Progress, done.Load(), uint64(res.Total), &counts, res.Duration)
+		writeProgress(o.Progress, done.Load(), total, &counts, dur)
 	}
 	if o.OnProgress != nil {
-		o.OnProgress(done.Load(), uint64(res.Total))
+		o.OnProgress(done.Load(), total)
 	}
 	o.Trace.Emit("campaign-end", "done", done.Load(), "errored", counts[Errored].Load(),
-		"seconds", res.Duration.Seconds())
+		"seconds", dur.Seconds())
 
 	if err := ctx.Err(); err != nil {
 		mu.Lock()
 		errs = append(errs, err)
 		mu.Unlock()
 	}
-
-	for i, out := range res.Details {
-		res.ByOutcome[out]++
-		m := plan.Faults[i].Model
-		if res.ByModel[m] == nil {
-			res.ByModel[m] = make(map[Outcome]int)
-		}
-		res.ByModel[m][out]++
-	}
-	return res, errors.Join(errs...)
+	return tally(plan, details, dur), errors.Join(errs...)
 }
 
 // writeProgress emits one live status line (counts read atomically, so

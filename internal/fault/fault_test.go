@@ -294,7 +294,7 @@ func TestGPRPermanentCampaign(t *testing.T) {
 
 func TestGuidedPlanTargetsUsedState(t *testing.T) {
 	tg, _ := target(t, "xtea")
-	cfg, g, err := fault.GuidedPlanConfig(tg, 5, 40)
+	cfg, g, _, err := fault.GuidedPlanConfig(tg, 5, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +345,49 @@ func TestGuidedPlanTargetsUsedState(t *testing.T) {
 	}
 	if res.Total != len(plan.Faults) {
 		t.Errorf("campaign total %d", res.Total)
+	}
+}
+
+// TestGuidedGoldenAndPool gives guided campaigns the golden and pool
+// GuidedPlanConfig returned, as s4e-fault -guided does: on both engines
+// they must classify every mutant as a campaign that runs its own
+// golden, and the instrumented golden must equal the plain one.
+func TestGuidedGoldenAndPool(t *testing.T) {
+	for _, name := range []string{"xtea", "crc32", "pid", "fir", "sort"} {
+		for _, eng := range emu.Engines() {
+			t.Run(name+"/"+eng.String(), func(t *testing.T) {
+				tg, _ := target(t, name)
+				tg.Engine = eng
+				cfg, g, pool, err := fault.GuidedPlanConfig(tg, 5, 24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pool == nil || pool.Size() == 0 {
+					t.Fatal("guided golden published no pool blocks")
+				}
+				plain, err := fault.RunGolden(tg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *g != *plain {
+					t.Errorf("guided golden %+v, plain golden %+v", *g, *plain)
+				}
+				plan := fault.NewPlan(cfg)
+				ref, err := fault.Campaign(tg, plan, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fault.CampaignOpt(tg, plan, fault.Options{Workers: 2, Golden: g, Pool: pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref.Details {
+					if got.Details[i] != ref.Details[i] {
+						t.Errorf("mutant %d (%v): %v with the guided golden and pool, want %v",
+							i, plan.Faults[i], got.Details[i], ref.Details[i])
+					}
+				}
+			})
+		}
 	}
 }

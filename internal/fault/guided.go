@@ -1,9 +1,6 @@
 package fault
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/cover"
 	"repro/internal/decode"
 	"repro/internal/emu"
@@ -30,26 +27,18 @@ func (e *extent) OnInsnExec(pc uint32, in decode.Inst) {
 // instrumented golden run, the MBMV'20 flow: register faults target only
 // registers the binary actually accesses, and code faults target only
 // instructions that actually execute — dedicated mutant sets instead of
-// blind sampling.
-func GuidedPlanConfig(t *Target, seed int64, perModel int) (PlanConfig, *Golden, error) {
-	p, err := t.newPlatform()
-	if err != nil {
-		return PlanConfig{}, nil, err
-	}
-	defer p.Release()
+// blind sampling. The golden run is Prepare's, with the coverage and
+// extent plugins registered, and its golden and pool are returned for
+// Options.Golden/Options.Pool, so a guided campaign runs one golden. The
+// plugins keep that run on the interpreter, so the pool holds blocks but
+// no traces.
+func GuidedPlanConfig(t *Target, seed int64, perModel int) (PlanConfig, *Golden, *emu.TBPool, error) {
 	cov := cover.New(isa.RV32Full)
 	ext := &extent{lo: ^uint32(0)}
-	if err := p.Machine.Hooks.Register(cov); err != nil {
-		return PlanConfig{}, nil, err
+	golden, pool, err := prepare(t, cov, ext)
+	if err != nil {
+		return PlanConfig{}, nil, nil, err
 	}
-	if err := p.Machine.Hooks.Register(ext); err != nil {
-		return PlanConfig{}, nil, err
-	}
-	stop := p.Run(t.Budget)
-	if stop.Reason != emu.StopExit && stop.Reason != emu.StopEbreak {
-		return PlanConfig{}, nil, fmt.Errorf("fault: guided golden run ended with %v", stop)
-	}
-	golden := &Golden{Stop: stop, Output: p.Output(), Insts: p.Machine.Hart.Instret}
 
 	var used []isa.Reg
 	for r := isa.Reg(1); r < isa.NumRegs; r++ {
@@ -57,7 +46,6 @@ func GuidedPlanConfig(t *Target, seed int64, perModel int) (PlanConfig, *Golden,
 			used = append(used, r)
 		}
 	}
-	sort.Slice(used, func(i, j int) bool { return used[i] < used[j] })
 
 	imageEnd := t.Program.Org + uint32(len(t.Program.Bytes))
 	cfg := PlanConfig{
@@ -78,5 +66,5 @@ func GuidedPlanConfig(t *Target, seed int64, perModel int) (PlanConfig, *Golden,
 		cfg.DataStart, cfg.DataEnd = t.Program.Org, imageEnd
 		cfg.MemPermanent = 0
 	}
-	return cfg, golden, nil
+	return cfg, golden, pool, nil
 }

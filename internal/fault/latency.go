@@ -20,15 +20,10 @@ import (
 // than guessed.
 type latencyWatcher struct {
 	p     *vp.Platform
-	worst uint64
+	worst uint64 // longest observed pending-to-trap latency
 }
 
 func (l *latencyWatcher) Name() string { return "fault-latency" }
-
-// Worst returns the longest observed pending-to-trap latency.
-func (l *latencyWatcher) Worst() uint64 { return l.worst }
-
-func (l *latencyWatcher) reset() { l.worst = 0 }
 
 // OnTrap implements plugin.TrapWatcher.
 func (l *latencyWatcher) OnTrap(cause, tval, pc uint32) {

@@ -15,8 +15,8 @@ import (
 // campaign recycling one platform per worker classifies every mutant
 // exactly as Inject does on a fresh, never-rewound platform. The mixed
 // plan includes code bit flips (the rewind must drop translations of
-// the corrupted image) and stuck-at faults, which run on the Step
-// engine inside the campaign.
+// the corrupted image) and stuck-at faults, whose instruction hook the
+// recycled platform carries only while each of them runs.
 func TestCampaignDirtyPagesDifferential(t *testing.T) {
 	tg, _ := target(t, "crc32")
 	g, err := fault.RunGolden(tg)
