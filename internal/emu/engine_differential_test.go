@@ -15,8 +15,9 @@ import (
 
 // This file is the safety net for the compiled engine: every workload
 // and a batch of seeded torture programs run under Step(), the switch
-// interpreter and the compiled superblock engine, under the nil profile
-// and every built-in timing profile, and the full architectural state —
+// interpreter and the compiled superblock engine, under the platform's
+// default profile and every built-in timing profile, and the full
+// architectural state —
 // stop info, Instret, Cycle, both register files, trap CSRs and a RAM
 // digest — must be bit-identical across all three paths.
 //
@@ -313,10 +314,13 @@ type diffProfile struct {
 	p    *timing.Profile
 }
 
-// diffProfiles is the nil profile (named "unit" after its cycle model)
-// plus every built-in profile, the built-in unit profile named
-// "unit-profile" to tell the two apart: tools and platforms always pass
-// a non-nil profile, so both forms need coverage.
+// diffProfiles is the platform default (a vp.Config without a profile,
+// named "unit" after the timing.Unit() model emu.New gives it) plus
+// every built-in profile, the built-in unit profile passed explicitly
+// named "unit-profile". The two unit entries are one machine setting;
+// TestDefaultProfileIsUnit (vp) pins that they end every kernel in the
+// same state, and the axis keeps both so the default a zero Config takes
+// is differentially tested like every explicit profile.
 func diffProfiles() []diffProfile {
 	out := []diffProfile{{"unit", nil}}
 	builtin := timing.Profiles()
@@ -345,6 +349,8 @@ func TestEngineDifferential(t *testing.T) {
 				ref := runEngine(t, c, prof.p, emu.EngineSwitch)
 				superblock := runEngine(t, c, prof.p, emu.EngineSuperblock)
 				diffStates(t, "superblock vs switch", ref, superblock)
+				// Step is compared without a load-use interlock; a nil
+				// profile is the platform default, timing.Unit().
 				if (prof.p == nil || prof.p.LoadUseStall == 0) && !c.noStep {
 					step := runStep(t, c, prof.p)
 					diffStates(t, "step vs switch", ref, step)
@@ -381,7 +387,7 @@ func runSliced(t *testing.T, c diffCase, prof *timing.Profile, engine emu.Engine
 // through the interpreter loop, so the slices cover both paths and the
 // hand-over between them. (A slice of 1 would add nothing: no block
 // fits, so every block would take the interpreter path.) Under
-// the nil profile a block-unaligned slicing must also reproduce one
+// the unit profile a block-unaligned slicing must also reproduce one
 // uninterrupted run. (Under other profiles resuming mid-block drops the
 // load-use hazard state, and resuming polls interrupts mid-block, so
 // there sliced runs are compared with each other only.)
@@ -395,10 +401,10 @@ func TestEngineDifferentialTightBudget(t *testing.T) {
 					diffStates(t, fmt.Sprintf("%s slice %d", prof.name, slice), ref, got)
 				}
 			}
-			ref := runEngine(t, c, nil, emu.EngineSwitch)
+			ref := runEngine(t, c, timing.Unit(), emu.EngineSwitch)
 			for _, engine := range []emu.Engine{emu.EngineSwitch, emu.EngineSuperblock} {
 				const slice = 173 // deliberately not block-aligned
-				got := runSliced(t, c, nil, engine, slice)
+				got := runSliced(t, c, timing.Unit(), engine, slice)
 				diffStates(t, fmt.Sprintf("%v sliced", engine), ref, got)
 			}
 		})

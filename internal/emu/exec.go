@@ -50,7 +50,7 @@ func (m *Machine) memStore(pc, addr uint32, size uint8, val uint32) (ok, invalid
 func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 	h := &m.Hart
 	pc := h.PC
-	if !in.Valid() || !in.Op.In(m.ext) || !m.subsetAllows(in.Op) {
+	if !m.ops.Has(in.Op) {
 		m.trap(isa.ExcIllegalInst, in.Raw, pc)
 		return true
 	}
@@ -58,18 +58,15 @@ func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 	rs1v := h.Reg(in.Rs1)
 	rs2v := h.Reg(in.Rs2)
 
-	cost := uint32(1)
-	if m.prof != nil {
-		cost = m.prof.DynamicCost(in, rs1v, rs2v)
-		if m.lastLoad != 0 {
-			r1, r2 := timing.ReadsIntRegs(in)
-			if r1 == m.lastLoad || r2 == m.lastLoad {
-				cost += m.prof.LoadUseStall
-			}
+	cost := m.prof.DynamicCost(in, rs1v, rs2v)
+	if m.lastLoad != 0 {
+		r1, r2 := timing.ReadsIntRegs(in)
+		if r1 == m.lastLoad || r2 == m.lastLoad {
+			cost += m.prof.LoadUseStall
 		}
-		if m.prof.HasICache() {
-			cost += m.icacheFetch(pc, in.Size)
-		}
+	}
+	if m.prof.HasICache() {
+		cost += m.icacheFetch(pc, in.Size)
 	}
 	m.lastLoad = 0
 
@@ -338,9 +335,7 @@ func (m *Machine) execOne(in decode.Inst) (diverted bool) {
 		m.trap(isa.ExcInstAddrMisaligned, target, pc)
 		return true
 	}
-	if m.prof != nil {
-		cost += m.prof.TransferPenalty(in.Op, taken)
-	}
+	cost += m.prof.TransferPenalty(in.Op, taken)
 	h.Instret++
 	h.Cycle += uint64(cost)
 	h.PC = target

@@ -293,7 +293,7 @@ func TestIdleLoopNoSkip(t *testing.T) {
 // engine must match the switch interpreter at every stop.
 func TestIdleLoopBudget(t *testing.T) {
 	src := idleLoop{body: idleBody, period: 600}.source()
-	for _, prof := range []diffProfile{{"unit", nil}, {"edge-small", timing.EdgeSmall()}} {
+	for _, prof := range []diffProfile{{"unit", timing.Unit()}, {"edge-small", timing.EdgeSmall()}} {
 		skipped := false
 		for n := uint64(100); n < 1400; n += 7 {
 			sb := runIdle(t, src, prof.p, engineRun(emu.EngineSuperblock, n), nil)

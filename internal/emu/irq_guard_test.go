@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/vp"
 )
 
@@ -137,5 +138,95 @@ out:
 			t.Errorf("%v: trap at cycle %d cause %#x, want cycle %d cause %#x",
 				eng, tc.cycles[0], tc.causes[0], ref.cycles[0], ref.causes[0])
 		}
+	}
+}
+
+// fakeIRQ is a scripted interrupt input: every full poll it checks what
+// the machine shows of the previous poll's lines, then steps to the next
+// line pattern and schedules its next event period cycles on.
+type fakeIRQ struct {
+	t      *testing.T
+	m      *emu.Machine
+	period uint64
+
+	ticks []uint64 // the cycle of every Tick
+	step  int      // index into fakePatterns of the current lines
+	next  uint64   // the announced next event
+}
+
+const (
+	meip = 1 << isa.IntMachineExternal
+	mtip = 1 << isa.IntMachineTimer
+	msip = 1 << isa.IntMachineSoftware
+	// hostMip are mip bits outside the interrupt lines that the host
+	// sets before the run, and strayLines one the fake reports beside
+	// them: a poll must keep the first and ignore the second.
+	hostMip    = 1<<1 | 1<<9
+	strayLines = 1 << 5
+)
+
+// fakePatterns turns each of MEIP, MTIP and MSIP on and off.
+var fakePatterns = []uint32{0, meip, meip | mtip, mtip | msip, msip, meip | mtip | msip, 0}
+
+func (f *fakeIRQ) Tick(cycle uint64) {
+	if cycle != f.m.Hart.Cycle {
+		f.t.Errorf("Tick(%d) at cycle %d", cycle, f.m.Hart.Cycle)
+	}
+	if len(f.ticks) > 0 {
+		if cycle < f.next {
+			f.t.Errorf("full poll at cycle %d, before the next event at %d", cycle, f.next)
+		}
+		if got, want := f.m.Hart.Mip, hostMip|fakePatterns[f.step]; got != want {
+			f.t.Errorf("mip = %#x at cycle %d, want %#x from the last poll", got, cycle, want)
+		}
+		f.step = (f.step + 1) % len(fakePatterns)
+	}
+	f.ticks = append(f.ticks, cycle)
+	f.next = cycle + f.period
+}
+
+func (f *fakeIRQ) Lines() uint32             { return fakePatterns[f.step] | strayLines }
+func (f *fakeIRQ) NextEvent() (uint64, bool) { return f.next, true }
+
+// TestIRQSourceLines pins the machine's one interrupt input: mip's MEIP,
+// MTIP and MSIP bits follow Lines() exactly at every full poll, every
+// other mip bit is left alone, Tick gets each full poll's cycle, and no
+// full poll happens before NextEvent — on both engines and under
+// single-stepping. Interrupts stay disabled, so nothing is delivered.
+func TestIRQSourceLines(t *testing.T) {
+	const src = `
+	li t0, 3000
+1:	addi t0, t0, -1
+	bnez t0, 1b
+	ebreak
+`
+	drivers := map[string]func(p *vp.Platform) emu.StopInfo{"step": stepRun(10_000)}
+	for _, e := range emu.Engines() {
+		drivers[e.String()] = engineRun(e, 10_000)
+	}
+	for name, run := range drivers {
+		p, err := vp.New(vp.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.LoadSource(vp.Prelude + src); err != nil {
+			t.Fatal(err)
+		}
+		f := &fakeIRQ{t: t, m: p.Machine, period: 97}
+		p.Machine.IRQ = f
+		p.Machine.Hart.Mip = hostMip
+		if stop := run(p); stop.Reason != emu.StopEbreak {
+			t.Fatalf("%s: stop = %v", name, stop)
+		}
+		if got := p.Machine.Stats().FullPolls; got != uint64(len(f.ticks)) {
+			t.Errorf("%s: %d full polls, %d ticks", name, got, len(f.ticks))
+		}
+		if len(f.ticks) < 2*len(fakePatterns) {
+			t.Errorf("%s: %d full polls, want every line pattern twice", name, len(f.ticks))
+		}
+		if got, want := p.Machine.Hart.Mip, hostMip|fakePatterns[f.step]; got != want {
+			t.Errorf("%s: final mip = %#x, want %#x", name, got, want)
+		}
+		p.Release()
 	}
 }

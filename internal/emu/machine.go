@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/decode"
-	"repro/internal/dev"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/plugin"
@@ -197,33 +196,29 @@ type tb struct {
 }
 
 // Machine is one emulated hart plus its bus, timing model and plugins.
+// Each machine setting that translated code is specialized against has
+// one encoding: the profile (never nil) and the op allowlist ops.
 type Machine struct {
 	Hart cpu.Hart
 	Bus  *mem.Bus
 
-	// prof selects the cycle model; nil means 1 cycle per instruction.
-	// It and ext are fixed at New: every translation is specialized
-	// against them, so no cached block can outlive a change of either.
+	// prof is the cycle model, never nil. It and ext are fixed at New:
+	// every translation is specialized against them, so no cached block
+	// can outlive a change of either.
 	prof *timing.Profile
 
-	// Clint, when non-nil, drives timer/software interrupts from the
-	// cycle counter. Its mtime follows PollCycle (dev.CLINT.Now) and it
-	// zeroes IRQDeadline; the platform wires both.
-	Clint *dev.CLINT
-
-	// Ext, when non-nil, drives the machine-external interrupt (MEIP)
-	// from a platform interrupt controller: it is ticked with the cycle
-	// counter at every full interrupt poll and its pending state is
-	// mirrored into mip. Both engines share the poll points, so
-	// external-interrupt delivery is engine-independent by construction.
-	// The devices behind it zero IRQDeadline.
-	Ext ExtIRQ
+	// IRQ, when non-nil, is the machine's one interrupt input: it is
+	// ticked with the cycle counter at every full interrupt poll and its
+	// MEIP, MTIP and MSIP lines are mirrored into mip. Both engines share
+	// the poll points, so interrupt delivery is engine-independent by
+	// construction. The devices behind it zero IRQDeadline.
+	IRQ IRQSource
 
 	// irqDeadline is the cycle before which an interrupt poll point
 	// skips the poll: one compare per block boundary. A full poll sets it
-	// to the earliest scheduled device event (Ext.NextEvent, the CLINT
-	// timer); until then a poll would tick no device, change no mip bit
-	// and deliver nothing, unless something zeroes the deadline first.
+	// to the earliest scheduled device event (IRQ.NextEvent); until then
+	// a poll would tick no device, change no mip bit and deliver nothing,
+	// unless something zeroes the deadline first.
 	// Zeroing it forces the next poll point to poll. The devices do so
 	// wherever an interrupt input or a next event can change (through
 	// IRQDeadline), a CSR write or mret does so when it makes an
@@ -240,21 +235,19 @@ type Machine struct {
 	// Hooks is the plugin registry.
 	Hooks plugin.Hooks
 
-	// ext restricts the accepted instruction set; executing an
-	// instruction outside it raises an illegal-instruction trap, which
-	// is how the platform scales across ISA-module configurations.
+	// ext is the ISA configuration the machine was built with; SetSubset
+	// narrows its ops into ops.
 	ext isa.ExtSet
+
+	// ops is the instruction allowlist: the ISA's ops, narrowed by
+	// SetSubset to a subset proven by the static subset analysis
+	// (internal/subset). Executing an op outside it raises an
+	// illegal-instruction trap, which is how the platform scales across
+	// ISA-module configurations and emulates a subset-pruned core.
+	ops isa.OpSet
 
 	// HaltOnEbreak makes ebreak stop the machine instead of trapping.
 	HaltOnEbreak bool
-
-	// subset, when non-empty, is the instruction allowlist proven by the
-	// static subset analysis (internal/subset): executing any op outside
-	// it raises an illegal-instruction trap, exactly as if the op were
-	// absent from the ISA — the emulation of a subset-pruned core.
-	// subsetOn caches non-emptiness for the per-instruction check.
-	subset   isa.OpSet
-	subsetOn bool
 
 	// Engine selects the execution strategy; the zero value is the
 	// compiled superblock engine.
@@ -353,9 +346,12 @@ type Machine struct {
 }
 
 // New creates a machine on the given bus with ebreak halting, the cycle
-// model prof (nil: 1 cycle per instruction) and the instruction set ext.
-// Both are fixed for the machine's lifetime.
+// model prof (nil: timing.Unit(), 1 cycle per instruction) and the
+// instruction set ext. Both are fixed for the machine's lifetime.
 func New(bus *mem.Bus, prof *timing.Profile, ext isa.ExtSet) *Machine {
+	if prof == nil {
+		prof = timing.Unit()
+	}
 	m := &Machine{
 		Bus:          bus,
 		prof:         prof,
@@ -364,31 +360,27 @@ func New(bus *mem.Bus, prof *timing.Profile, ext isa.ExtSet) *Machine {
 		tbs:          make(map[uint32]*tb),
 		storeLo:      ^uint32(0),
 	}
+	m.SetSubset(isa.OpSet{})
 	m.Hart.Reset(0)
 	bus.WriteNotify = m.noteHostWrite
 	return m
 }
 
-// SetSubset installs an instruction allowlist: with a non-empty set the
-// machine traps (illegal instruction) on any op outside it, on every
-// engine. The empty set removes the restriction. Translations are
-// specialized against the subset, so it flushes the translation cache
-// (and, like fence.i, the modelled I-cache) and detaches an attached
-// pool built under another subset.
+// SetSubset narrows the instruction allowlist to the ISA's ops in s: the
+// machine then traps (illegal instruction) on any op outside s, on every
+// engine. The empty set removes the restriction, restoring every op of
+// the ISA. Translations are specialized against the allowlist, so it
+// flushes the translation cache (and, like fence.i, the modelled
+// I-cache) and detaches an attached pool built under other ops.
 func (m *Machine) SetSubset(s isa.OpSet) {
-	m.subset = s
-	m.subsetOn = !s.Empty()
+	m.ops = isa.OpSet{}
+	for _, op := range isa.OpsIn(m.ext) {
+		if s.Empty() || s.Has(op) {
+			m.ops.Add(op)
+		}
+	}
 	m.InvalidateTBs()
 	m.AttachTBPool(m.pool)
-}
-
-// Subset returns the installed instruction allowlist (empty when
-// unrestricted).
-func (m *Machine) Subset() isa.OpSet { return m.subset }
-
-// subsetAllows is the per-instruction enforcement predicate.
-func (m *Machine) subsetAllows(o isa.Op) bool {
-	return !m.subsetOn || m.subset.Has(o)
 }
 
 // ensureRAM resolves the direct-RAM fast-path pointers once per machine
@@ -959,8 +951,7 @@ func (m *Machine) translate(pc uint32) (*tb, mem.Fault) {
 		}
 		insts = append(insts, in)
 		addrs = append(addrs, addr)
-		if !in.Valid() || in.Op.IsControlFlow() || !in.Op.In(m.ext) ||
-			!m.subsetAllows(in.Op) {
+		if !m.ops.Has(in.Op) || in.Op.IsControlFlow() {
 			break // terminator: executing it traps or transfers control
 		}
 		if in.Op == isa.OpWFI || in.Op == isa.OpFENCEI {
@@ -1019,15 +1010,20 @@ func (m *Machine) lookupTB(pc uint32) *tb {
 	return t
 }
 
-// ExtIRQ is an external interrupt source (the PLIC): Tick advances it
-// to the hart's cycle, Pending reports the MEIP level and NextEvent the
-// earliest cycle at which a Tick would change its state (ok=false if
-// none is scheduled).
-type ExtIRQ interface {
+// IRQSource is the machine's interrupt input (the platform's interrupt
+// controller, timer and the devices behind them): Tick advances it to
+// the hart's cycle, Lines reports the levels of the MEIP, MTIP and MSIP
+// bits of mip (other bits are ignored) and NextEvent the earliest cycle
+// at which a Tick or a timer would change a line (ok=false if none is
+// scheduled). Lines and NextEvent must not change state.
+type IRQSource interface {
 	Tick(cycle uint64)
-	Pending() bool
+	Lines() uint32
 	NextEvent() (uint64, bool)
 }
+
+// irqLines is the mip mask an IRQSource drives.
+const irqLines = 1<<isa.IntMachineExternal | 1<<isa.IntMachineTimer | 1<<isa.IntMachineSoftware
 
 // IRQDeadline returns the address of the machine's interrupt-poll
 // deadline, for the devices to zero (the IRQDeadline field of dev.CLINT,
@@ -1057,30 +1053,11 @@ func (m *Machine) pollInterrupts() {
 	h := &m.Hart
 	m.stats.FullPolls++
 	next := ^uint64(0)
-	if m.Ext != nil {
-		m.Ext.Tick(h.Cycle)
-		if m.Ext.Pending() {
-			h.Mip |= 1 << isa.IntMachineExternal
-		} else {
-			h.Mip &^= 1 << isa.IntMachineExternal
-		}
-		if at, ok := m.Ext.NextEvent(); ok {
-			next = min(next, at)
-		}
-	}
-	if m.Clint != nil {
-		if m.Clint.TimerPending() {
-			h.Mip |= 1 << isa.IntMachineTimer
-		} else {
-			h.Mip &^= 1 << isa.IntMachineTimer
-		}
-		if m.Clint.SoftwarePending() {
-			h.Mip |= 1 << isa.IntMachineSoftware
-		} else {
-			h.Mip &^= 1 << isa.IntMachineSoftware
-		}
-		if at, ok := m.Clint.NextTimerEvent(); ok {
-			next = min(next, at)
+	if m.IRQ != nil {
+		m.IRQ.Tick(h.Cycle)
+		h.Mip = h.Mip&^irqLines | m.IRQ.Lines()&irqLines
+		if at, ok := m.IRQ.NextEvent(); ok {
+			next = at
 		}
 	}
 	m.irqDeadline = next
@@ -1138,9 +1115,7 @@ func (m *Machine) trap(cause, tval, pc uint32) {
 		m.excSeen, m.excInstret = true, h.Instret
 	}
 	h.Trap(cause, tval, pc)
-	if m.prof != nil {
-		h.Cycle += uint64(m.prof.TrapPenalty)
-	}
+	h.Cycle += uint64(m.prof.TrapPenalty)
 	m.lastLoad = 0
 }
 

@@ -408,7 +408,7 @@ func TestIdleLoopCompiledInline(t *testing.T) {
 	if !ok {
 		t.Fatal("pid_timer missing")
 	}
-	for _, prof := range []*timing.Profile{nil, timing.EdgeSmall()} {
+	for _, prof := range []*timing.Profile{timing.Unit(), timing.EdgeSmall()} {
 		p, err := vp.New(vp.Config{Profile: prof, Sensor: w.Sensor})
 		if err != nil {
 			t.Fatal(err)

@@ -35,14 +35,16 @@ import (
 // vp.Platform.RestoreReuse already maintains.
 //
 // Specialization. Compiled code is specialized against a timing
-// profile, an ISA and a subset allowlist. A machine's profile and ISA
-// are fixed when it is built, and SetSubset flushes its cache, so a
-// cached block never needs a specialization check. A pool carries the
-// one tag: AttachTBPool (and SetSubset, through it) attaches a pool only
-// to a machine of the same specialization. The profile is tagged by
-// value, not by pointer: compiled code depends only on the profile's
-// fields, and callers such as the analysis service build a fresh
-// Profile per job (timing.Profiles).
+// profile and an op allowlist (the ISA's ops, narrowed by SetSubset). A
+// machine's profile and ISA are fixed when it is built, and SetSubset
+// flushes its cache, so a cached block never needs a specialization
+// check. A pool carries the one tag, profile + ops: AttachTBPool (and
+// SetSubset, through it) attaches a pool only to a machine of the same
+// specialization. Machines whose ISA and subset differ but admit the
+// same ops compile the same code, so they share pools. The profile is
+// tagged by value, not by pointer: compiled code depends only on the
+// profile's fields, and callers such as the analysis service build a
+// fresh Profile per job (timing.Profiles).
 //
 // Adopted blocks are wrapped in a private tb (per-machine chain links)
 // and inserted into the machine's private cache, so store-to-code
@@ -55,9 +57,8 @@ import (
 // Machine.AttachTBPool. All methods are safe for concurrent use; the
 // block map is immutable after construction.
 type TBPool struct {
-	prof   timing.Profile // the zero Profile for a machine without one
-	ext    isa.ExtSet
-	sub    isa.OpSet
+	prof   timing.Profile
+	ops    isa.OpSet
 	blocks map[uint32]*tbCode
 
 	// traces is the frozen-superblock tier: compiled traces the donor
@@ -80,9 +81,8 @@ type TBPool struct {
 // compiled parts. Returns an empty pool when the cache is empty.
 func (m *Machine) BuildTBPool() *TBPool {
 	p := &TBPool{
-		prof:   m.profileTag(),
-		ext:    m.ext,
-		sub:    m.subset,
+		prof:   *m.prof,
+		ops:    m.ops,
 		blocks: make(map[uint32]*tbCode, len(m.tbs)),
 	}
 	for pc, t := range m.tbs {
@@ -123,22 +123,14 @@ func (p *TBPool) Traces() int { return len(p.traces) }
 // AttachTBPool attaches a shared translation pool to the machine.
 // Lookups consult the pool after the private cache; blocks are adopted
 // only while the block's bytes are untouched per the dirty-state check
-// (DirtyOverlaps). A pool built under another profile value, ISA or
-// subset is not attached. Attaching nil detaches; already-adopted
+// (DirtyOverlaps). A pool built under another profile value or op
+// allowlist is not attached. Attaching nil detaches; already-adopted
 // blocks remain in the private cache.
 func (m *Machine) AttachTBPool(p *TBPool) {
-	if p != nil && (p.prof != m.profileTag() || p.ext != m.ext || p.sub != m.subset) {
+	if p != nil && (p.prof != *m.prof || p.ops != m.ops) {
 		p = nil
 	}
 	m.pool = p
-}
-
-// profileTag is the profile value a pool is tagged with.
-func (m *Machine) profileTag() timing.Profile {
-	if m.prof == nil {
-		return timing.Profile{}
-	}
-	return *m.prof
 }
 
 // TBPoolAttached reports whether a shared pool is attached.

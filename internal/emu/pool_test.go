@@ -212,7 +212,7 @@ func TestResetDetachesPool(t *testing.T) {
 // tag is the profile's value: a machine built from a second
 // timing.EdgeSmall() call adopts a pool built under the first.
 func TestTBPoolOtherProfileNeverAdopted(t *testing.T) {
-	nilPool := buildPool(t, poolProg) // donor: nil profile, 1 cycle per instruction
+	unitPool := buildPool(t, poolProg) // donor: the default timing.Unit(), 1 cycle per instruction
 	run := func(prof *timing.Profile, engine emu.Engine, pool *emu.TBPool) *emu.Machine {
 		t.Helper()
 		p, err := vp.New(vp.Config{Profile: prof})
@@ -237,8 +237,8 @@ func TestTBPoolOtherProfileNeverAdopted(t *testing.T) {
 			pool  *emu.TBPool
 			adopt bool
 		}{
-			{"edge-small/nil-pool", timing.EdgeSmall(), nilPool, false},
-			{"edge-fast/nil-pool", timing.EdgeFast(), nilPool, false},
+			{"edge-small/unit-pool", timing.EdgeSmall(), unitPool, false},
+			{"edge-fast/unit-pool", timing.EdgeFast(), unitPool, false},
 			{"edge-small/edge-small-pool", timing.EdgeSmall(), edgePool, true},
 		} {
 			got, want := run(c.prof, engine, c.pool), run(c.prof, engine, nil)

@@ -204,3 +204,84 @@ bad:	mul  a2, a0, a1
 		}
 	}
 }
+
+// TestSubsetPoolSharedAcrossISAs pins the pool tag, profile + ops: a
+// pool built on an RV32I machine with subset S attaches to a full-ISA
+// machine with the same S, whose allowlist holds the same ops, and that
+// machine runs like a fresh one on every engine; a full-ISA machine
+// without S is refused the pool. SetSubset(isa.OpSet{}) lifts the
+// restriction: the ISA's ops run again, and a pool of the unrestricted
+// ISA attaches.
+func TestSubsetPoolSharedAcrossISAs(t *testing.T) {
+	build := func(ext isa.ExtSet, sub isa.OpSet, src string) *vp.Platform {
+		t.Helper()
+		p, err := vp.New(vp.Config{ISA: ext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.LoadSource(vp.Prelude + src); err != nil {
+			t.Fatal(err)
+		}
+		p.Machine.SetSubset(sub)
+		return p
+	}
+	s := rv32iOnly()
+	donor := build(isa.RV32I, s, poolProg)
+	if stop := donor.Run(1_000_000); stop.Reason != emu.StopEbreak {
+		t.Fatalf("rv32i donor: %v", stop)
+	}
+	pool := donor.Machine.BuildTBPool()
+	for _, engine := range emu.Engines() {
+		run := func(p *vp.Platform) *emu.Machine {
+			t.Helper()
+			p.Machine.Engine = engine
+			if stop := p.Run(1_000_000); stop.Reason != emu.StopEbreak {
+				t.Fatalf("%v: %v", engine, stop)
+			}
+			return p.Machine
+		}
+		shared := build(isa.RV32Full, s, poolProg)
+		shared.Machine.AttachTBPool(pool)
+		if !shared.Machine.TBPoolAttached() {
+			t.Fatalf("%v: full-ISA machine with the same subset refused the rv32i pool", engine)
+		}
+		got, want := run(shared), run(build(isa.RV32Full, s, poolProg))
+		if got.Stats().PoolHits == 0 || got.Stats().TBsCompiled != 0 {
+			t.Errorf("%v: %d blocks adopted, %d compiled; want every block from the pool",
+				engine, got.Stats().PoolHits, got.Stats().TBsCompiled)
+		}
+		if got.Hart.X != want.Hart.X || got.Hart.Cycle != want.Hart.Cycle || got.Hart.Instret != want.Hart.Instret {
+			t.Errorf("%v: pooled run %d insts/%d cycles/a0 %d, fresh machine %d/%d/%d", engine,
+				got.Hart.Instret, got.Hart.Cycle, got.Hart.Reg(isa.A0),
+				want.Hart.Instret, want.Hart.Cycle, want.Hart.Reg(isa.A0))
+		}
+
+		other := build(isa.RV32Full, isa.OpSet{}, poolProg)
+		other.Machine.AttachTBPool(pool)
+		if other.Machine.TBPoolAttached() {
+			t.Errorf("%v: machine with other ops attached the rv32i-subset pool", engine)
+		}
+	}
+
+	// The non-empty subset rejects the ops outside it; the empty one
+	// restores the ISA's.
+	p := build(isa.RV32Full, s, subsetTrapProg)
+	if stop := p.Run(1000); stop.Reason != emu.StopTrap || stop.Cause != isa.ExcIllegalInst {
+		t.Fatalf("under the rv32i subset: stop = %v, want the mul to trap", stop)
+	}
+	full := build(isa.RV32Full, isa.OpSet{}, poolProg)
+	if stop := full.Run(1_000_000); stop.Reason != emu.StopEbreak {
+		t.Fatalf("full-ISA donor: %v", stop)
+	}
+	fullPool := full.Machine.BuildTBPool()
+	p = build(isa.RV32Full, s, subsetTrapProg)
+	p.Machine.SetSubset(isa.OpSet{})
+	if stop := p.Run(1000); stop.Reason != emu.StopEbreak || p.Machine.Hart.Reg(isa.A2) != 35 {
+		t.Errorf("after SetSubset(isa.OpSet{}): stop = %v, a2 = %d; want ebreak with a2 = 35",
+			stop, p.Machine.Hart.Reg(isa.A2))
+	}
+	p.Machine.AttachTBPool(fullPool)
+	if !p.Machine.TBPoolAttached() {
+		t.Error("after SetSubset(isa.OpSet{}): a pool of the unrestricted ISA did not attach")
+	}
+}

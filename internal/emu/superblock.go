@@ -885,7 +885,7 @@ func idleTrace(ops []sbOp) bool {
 
 // compile builds the block's micro-op form, a length-1 trace ending with
 // a flush of any pending accounting. It is deterministic in the block's
-// bytes and m's specialization (profile, ISA, subset), and micro-ops take
+// bytes and m's specialization (profile, op allowlist), and micro-ops take
 // the machine as an argument, so the result serves any machine of that
 // specialization — the property the shared translation pool relies on.
 // Only the owning machine may call this (lazily) on a private block;
@@ -894,13 +894,8 @@ func (c *tbCode) compile(m *Machine) {
 	prof := m.prof
 	insts := c.info.Insts
 	addrs := c.info.Addrs
-	var costs []uint32
-	var dyn []bool
-	icache := false
-	if prof != nil {
-		costs, dyn = prof.StaticPlan(insts)
-		icache = prof.HasICache()
-	}
+	costs, dyn := prof.StaticPlan(insts)
+	icache := prof.HasICache()
 	ops := make([]sbOp, 0, len(insts)+1)
 	var pend uint64    // deferred retired-instruction count
 	var pendCyc uint64 // deferred cycle count
@@ -914,12 +909,9 @@ func (c *tbCode) compile(m *Machine) {
 		if in.Op.Class() == isa.ClassLoad {
 			lastLoad = in.Rd
 		}
-		cost := uint32(1)
-		if costs != nil {
-			cost = costs[i]
-		}
-		if !icache && in.Valid() && in.Op.In(m.ext) && m.subset.Allows(in.Op) {
-			if dyn != nil && dyn[i] {
+		cost := costs[i]
+		if !icache && m.ops.Has(in.Op) {
+			if dyn[i] {
 				// Early-out mul/div: the op adds its operand-dependent
 				// cycles itself, so only its instret is deferred.
 				constIdx = -1
@@ -1120,12 +1112,12 @@ func ctlOp(in *decode.Inst, pc, cost uint32, prof *timing.Profile, pend, pendCyc
 		}
 		op.kind = sbJal
 		op.imm = target
-		op.aux += cost + jumpPen(prof)
+		op.aux += cost + prof.JumpPenalty
 		return op, true
 	case isa.OpJALR, isa.OpCJR, isa.OpCJALR:
 		op.kind = sbJalr
 		op.imm = uint32(in.Imm)
-		op.aux += cost + jumpPen(prof)
+		op.aux += cost + prof.JumpPenalty
 		return op, true
 	case isa.OpBEQ, isa.OpCBEQZ, isa.OpBNE, isa.OpCBNEZ,
 		isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
@@ -1135,7 +1127,7 @@ func ctlOp(in *decode.Inst, pc, cost uint32, prof *timing.Profile, pend, pendCyc
 		}
 		op.imm = target
 		op.aux += cost
-		op.pen = uint16(branchPen(prof))
+		op.pen = uint16(prof.BranchTakenPenalty)
 		switch in.Op {
 		case isa.OpBEQ, isa.OpCBEQZ:
 			op.kind = sbBeq
@@ -1195,20 +1187,6 @@ func memOp(in *decode.Inst, pc, cost uint32, pend, pendCyc uint64) (sbOp, bool) 
 		return sbOp{}, false
 	}
 	return op, true
-}
-
-func jumpPen(p *timing.Profile) uint32 {
-	if p == nil {
-		return 0
-	}
-	return p.JumpPenalty
-}
-
-func branchPen(p *timing.Profile) uint32 {
-	if p == nil {
-		return 0
-	}
-	return p.BranchTakenPenalty
 }
 
 // binOps is the long tail of register-register operations, executed by

@@ -67,23 +67,21 @@ func RunIRT(ctx context.Context, w workloads.Workload, prof *timing.Profile, con
 		return nil, fmt.Errorf("flow: %s: %w", w.Name, err)
 	}
 
-	build := func() (*vp.Platform, error) {
-		p, err := vp.New(vp.Config{
-			Profile: prof,
-			Sensor:  w.Sensor,
-			Stream:  w.Stream,
-			UARTIn:  w.UARTIn,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := p.LoadProgram(prog); err != nil {
-			return nil, err
-		}
-		p.Machine.Engine = conf.Engine
-		return p, nil
+	p, err := vp.New(vp.Config{
+		Profile: prof,
+		Sensor:  w.Sensor,
+		Stream:  w.Stream,
+		UARTIn:  w.UARTIn,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("flow: %s: %w", w.Name, err)
 	}
-	meas, err := qta.MeasureIRT(ctx, build, w.Budget, w.Expect, conf.Samples, conf.Seed)
+	defer p.Release()
+	if err := p.LoadProgram(prog); err != nil {
+		return nil, fmt.Errorf("flow: %s: %w", w.Name, err)
+	}
+	p.Machine.Engine = conf.Engine
+	meas, err := qta.MeasureIRT(ctx, p, w.Budget, w.Expect, conf.Samples, conf.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s: %w", w.Name, err)
 	}

@@ -536,9 +536,8 @@ const opSetWords = (NumOps + 63) / 64
 
 // OpSet is a bit set over the instruction universe. It is a comparable
 // value type (equality via ==), which lets cached compiled code be
-// tagged with the exact subset it was specialized against. The zero
-// value is the empty set; as an execution allowlist the empty set means
-// "unrestricted" (see Allows), so plain machines need no setup.
+// tagged with the exact op allowlist it was specialized against. The
+// zero value is the empty set.
 type OpSet struct {
 	w [opSetWords]uint64
 }
@@ -557,12 +556,6 @@ func (s OpSet) Has(o Op) bool {
 
 // Empty reports whether the set contains no ops.
 func (s OpSet) Empty() bool { return s == OpSet{} }
-
-// Allows reports whether o may execute under s as an allowlist: the
-// empty set places no restriction, a non-empty set admits only its
-// members. This is the subset-enforcement predicate shared by the
-// interpreter and the specializing compilers.
-func (s OpSet) Allows(o Op) bool { return s.Empty() || s.Has(o) }
 
 // Len returns the number of ops in the set.
 func (s OpSet) Len() int {

@@ -43,12 +43,6 @@ type IRTMeter struct {
 	Entry uint64
 }
 
-// NewIRTMeter builds a meter reading time from the given hart, for an
-// interrupt asserted at the trigger cycle.
-func NewIRTMeter(h *cpu.Hart, trigger uint64) *IRTMeter {
-	return &IRTMeter{hart: h, trigger: trigger}
-}
-
 // Name implements plugin.Plugin.
 func (m *IRTMeter) Name() string { return "irt-meter" }
 
@@ -99,25 +93,23 @@ type IRTMeasurement struct {
 	Observations []IRTObservation `json:"observations"`
 }
 
-// MeasureIRT runs the adversarial campaign: a golden run fixes the
-// program's cycle span and checksum, then `samples` deterministic
-// trigger points — stratified over the span, jittered by an LCG on
-// seed — each get a fresh platform with the test line armed at that
-// exact cycle. build must return a freshly loaded platform; expect is
-// the checksum the program must still produce under perturbation.
-func MeasureIRT(ctx context.Context, build func() (*vp.Platform, error),
+// MeasureIRT runs the adversarial campaign on p, a freshly loaded
+// platform: a golden run fixes the program's cycle span and checksum,
+// then `samples` deterministic trigger points — stratified over the
+// span, jittered by an LCG on seed — each rewind p to its post-load
+// state (vp.Platform.RestoreReuse) and rerun it with the test line armed
+// at that exact cycle. expect is the checksum the program must still
+// produce under perturbation. The campaign leaves its meter registered
+// on p, so p is spent afterwards.
+func MeasureIRT(ctx context.Context, p *vp.Platform,
 	budget uint64, expect uint32, samples int, seed uint64) (*IRTMeasurement, error) {
 
-	golden, err := build()
-	if err != nil {
-		return nil, err
-	}
-	stop, err := golden.RunContext(ctx, budget)
+	base := p.Snapshot()
+	stop, err := p.RunContext(ctx, budget)
 	res := &IRTMeasurement{
-		GoldenCycles: golden.Machine.Hart.Cycle,
+		GoldenCycles: p.Machine.Hart.Cycle,
 		Samples:      samples,
 	}
-	golden.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -130,6 +122,10 @@ func MeasureIRT(ctx context.Context, build func() (*vp.Platform, error),
 	}
 	if samples <= 0 {
 		return res, nil
+	}
+	meter := &IRTMeter{}
+	if err := p.Machine.Hooks.Register(meter); err != nil {
+		return nil, err
 	}
 
 	span := res.GoldenCycles
@@ -149,17 +145,10 @@ func MeasureIRT(ctx context.Context, build func() (*vp.Platform, error),
 		}
 		at += (x >> 33) % stratum
 
-		p, err := build()
-		if err != nil {
-			return nil, err
-		}
-		meter := NewIRTMeter(&p.Machine.Hart, at)
-		if err := p.Machine.Hooks.Register(meter); err != nil {
-			return nil, err
-		}
+		p.RestoreReuse(base, nil)
+		*meter = IRTMeter{hart: &p.Machine.Hart, trigger: at}
 		p.Plic.TriggerAt(at)
 		pstop, err := p.RunContext(ctx, budget)
-		p.Release()
 		if err != nil {
 			return res, err
 		}

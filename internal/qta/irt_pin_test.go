@@ -45,18 +45,16 @@ func TestIRTObservationStreamsPinned(t *testing.T) {
 		}
 		for _, engine := range emu.Engines() {
 			t.Run(engine.String()+"/"+w.Name, func(t *testing.T) {
-				build := func() (*vp.Platform, error) {
-					p, err := vp.New(vp.Config{Profile: prof, Sensor: w.Sensor, Stream: w.Stream, UARTIn: w.UARTIn})
-					if err != nil {
-						return nil, err
-					}
-					if err := p.LoadProgram(prog); err != nil {
-						return nil, err
-					}
-					p.Machine.Engine = engine
-					return p, nil
+				p, err := vp.New(vp.Config{Profile: prof, Sensor: w.Sensor, Stream: w.Stream, UARTIn: w.UARTIn})
+				if err != nil {
+					t.Fatal(err)
 				}
-				m, err := qta.MeasureIRT(context.Background(), build, w.Budget, w.Expect, 24, 1)
+				defer p.Release()
+				if err := p.LoadProgram(prog); err != nil {
+					t.Fatal(err)
+				}
+				p.Machine.Engine = engine
+				m, err := qta.MeasureIRT(context.Background(), p, w.Budget, w.Expect, 24, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -775,11 +775,12 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.finishLocked(j)
 	rec := terminalRecord(j)
-	sec := j.finished.Sub(j.started).Seconds()
+	// Observed before the terminal state is visible, so a client that
+	// sees the job finished also sees its latency counted.
+	s.jobSeconds(j.Type).Observe(j.finished.Sub(j.started).Seconds())
 	s.mu.Unlock()
 
 	s.journal(rec)
-	s.jobSeconds(j.Type).Observe(sec)
 }
 
 // finishLocked stamps a terminal transition: finish time, terminal

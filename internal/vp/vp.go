@@ -112,8 +112,7 @@ func New(cfg Config) (*Platform, error) {
 	}
 
 	p.Machine = emu.New(bus, cfg.Profile, cfg.ISA)
-	p.Machine.Clint = p.Clint
-	p.Machine.Ext = extSources{p}
+	p.Machine.IRQ = irqInput{p}
 	// The devices zero the machine's interrupt-poll deadline wherever an
 	// interrupt input or a next event can change, and mtime follows the
 	// cycle of the machine's last poll point.
@@ -124,8 +123,8 @@ func New(cfg Config) (*Platform, error) {
 
 	// The DMA engine writes guest memory through the bus, as every host
 	// writer does, and anchors kicks to guest time; its completion line
-	// and the UART's receive line feed the PLIC, which the machine polls
-	// as its external-interrupt source.
+	// and the UART's receive line feed the PLIC, whose line the machine
+	// polls as MEIP.
 	p.DMA.Mem = bus
 	p.DMA.Now = func() uint64 { return p.Machine.Hart.Cycle }
 	p.Plic.SetSource(dev.PLICLineDMA, p.DMA.IRQ)
@@ -133,28 +132,46 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// extSources is the machine's external-interrupt view of the platform:
-// each full interrupt poll advances the DMA engine and the PLIC's
-// test-line latch to the current cycle, then mirrors the PLIC's live
-// pending state into MEIP. The machine skips the full poll while the
-// cycle counter is short of its deadline — NextEvent or the CLINT timer,
-// whichever is first — because then it would find nothing new: a Tick
-// before NextEvent is a no-op and every level change zeroes the
-// deadline. Device state thus changes only at full polls, guest MMIO
-// accesses and host calls, which all engines replicate exactly.
-type extSources struct{ p *Platform }
+// irqInput is the machine's interrupt input (emu.IRQSource) over the
+// platform: each full interrupt poll advances the DMA engine and the
+// PLIC's test-line latch to the current cycle, then mirrors the PLIC's
+// live pending state into MEIP and the CLINT's timer and software
+// interrupts into MTIP and MSIP. The machine skips the full poll while
+// the cycle counter is short of NextEvent, because then it would find
+// nothing new: a Tick before NextEvent is a no-op, the CLINT timer
+// fires no earlier, and every other level change zeroes the deadline.
+// Device state thus changes only at full polls, guest MMIO accesses and
+// host calls, which all engines replicate exactly.
+type irqInput struct{ p *Platform }
 
-func (e extSources) Tick(cycle uint64) {
-	e.p.DMA.Tick(cycle)
-	e.p.Plic.Tick(cycle)
+func (s irqInput) Tick(cycle uint64) {
+	s.p.DMA.Tick(cycle)
+	s.p.Plic.Tick(cycle)
 }
 
-func (e extSources) Pending() bool { return e.p.Plic.Pending() }
+// Lines reads the three device levels; the getters are pure.
+func (s irqInput) Lines() uint32 {
+	var lines uint32
+	if s.p.Plic.Pending() {
+		lines |= 1 << isa.IntMachineExternal
+	}
+	if s.p.Clint.TimerPending() {
+		lines |= 1 << isa.IntMachineTimer
+	}
+	if s.p.Clint.SoftwarePending() {
+		lines |= 1 << isa.IntMachineSoftware
+	}
+	return lines
+}
 
-// NextEvent is the earlier of the DMA completion and the test-line latch.
-func (e extSources) NextEvent() (uint64, bool) {
-	at, ok := e.p.DMA.NextEvent()
-	if t, armed := e.p.Plic.NextEvent(); armed && (!ok || t < at) {
+// NextEvent is the earliest of the DMA completion, the test-line latch
+// and the CLINT timer.
+func (s irqInput) NextEvent() (uint64, bool) {
+	at, ok := s.p.DMA.NextEvent()
+	if t, armed := s.p.Plic.NextEvent(); armed && (!ok || t < at) {
+		at, ok = t, true
+	}
+	if t, armed := s.p.Clint.NextTimerEvent(); armed && (!ok || t < at) {
 		at, ok = t, true
 	}
 	return at, ok
